@@ -14,7 +14,7 @@ import numpy as np
 
 from . import nn
 from .autodiff import Tensor, concat, exp, log, minimum, no_grad, tanh
-from .env import BatchTracker, STATE_DIM
+from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 
 ACTION_DIM = 3
 ALGOS = ("td3", "sac", "ddpg")
@@ -219,28 +219,19 @@ def sac_log_prob(mean, log_std, action):
     return lp - np.log(1.0 - a * a + 1e-6)
 
 
-def sample_seeds(phantom, bundle_name, n, rng, with_hints=True):
+def sample_seeds(phantom, bundle_name, n, rng):
     """Uniform random seeds inside the bundle mask, plus +-peak hints."""
-    from .phantom import sample_field
-
     mask = phantom.mask_for(bundle_name).values
     voxels = np.argwhere(mask > 0)
     seeds = np.zeros((n, 3))
     filled = 0
     while filled < n:
         pick = voxels[rng.integers(0, len(voxels), size=n - filled)]
-        cand = pick + rng.uniform(-0.5, 0.5, size=pick.shape)
-        ok = sample_field(mask, cand) >= 0.5
-        kept = cand[ok]
+        kept = jittered_seeds(mask, pick, 1, rng)
         seeds[filled:filled + len(kept)] = kept
         filled += len(kept)
-    hints = None
-    if with_hints:
-        hints = np.zeros((n, 3))
-        for i in range(n):
-            pk = phantom.peaks_at(seeds[i])
-            if len(pk):
-                hints[i] = pk[0] * (1.0 if rng.random() < 0.5 else -1.0)
+    hints, has_peak = peak_hints(phantom, seeds)
+    hints[has_peak] *= np.where(rng.random(has_peak.sum()) < 0.5, 1.0, -1.0)[:, None]
     return seeds, hints
 
 
@@ -317,25 +308,24 @@ def rollout(bundle, tracker, seeds, hints, rng, buffer=None, mode="explore",
             random_actions=False):
     """Run a batch of episodes; optionally store transitions. Returns
     (total_reward, total_steps)."""
-    states = tracker.reset(seeds, hints)
     total_r, total_steps = 0.0, 0
-    while tracker.active.any():
+
+    def act(states):
         if random_actions:
             acts = rng.uniform(-1.0, 1.0, size=(tracker.n, ACTION_DIM))
-            bad = np.linalg.norm(acts, axis=1) < 1e-6
-            acts[bad] = [1.0, 0.0, 0.0]
-        else:
-            acts = bundle.act(states, mode=mode, rng=rng)
-        was_active = tracker.active.copy()
-        rewards, done, _ = tracker.step(acts)
-        next_states = tracker.states()
+            acts[np.linalg.norm(acts, axis=1) < 1e-6] = [1.0, 0.0, 0.0]
+            return acts
+        return bundle.act(states, mode=mode, rng=rng)
+
+    def observe(live, states, acts, rewards, done, next_states):
+        nonlocal total_r, total_steps
         if buffer is not None:
-            idx = np.nonzero(was_active)[0]
-            buffer.add_batch(states[idx], acts[idx].astype(np.float32),
-                             rewards[idx], next_states[idx], done[idx].astype(np.float32))
-        total_r += rewards[was_active].sum()
-        total_steps += int(was_active.sum())
-        states = next_states
+            buffer.add_batch(states[live], acts[live].astype(np.float32), rewards[live],
+                             next_states[live], done[live].astype(np.float32))
+        total_r += rewards[live].sum()
+        total_steps += len(live)
+
+    tracker.run(seeds, hints, act, observe)
     return total_r, total_steps
 
 

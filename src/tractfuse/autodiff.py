@@ -193,8 +193,6 @@ class Tensor:
         def grad_fn(g):
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if a.data.ndim == 1:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
 
         return Tensor._make(out, (a, b), grad_fn)

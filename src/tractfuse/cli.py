@@ -12,8 +12,8 @@ Stages (each writes its outputs plus a hash manifest into --out):
     evaluate  -> scores.tsv   (verifies upstream hashes unless --force)
     report    -> report.txt, printed table
 
-Exit codes: 0 success, 1 bad configuration or missing upstream artifact,
-2 unexpected runtime failure.
+Exit codes: 0 success, 1 bad configuration, missing upstream artifact or
+failed provenance check, 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ def main(argv=None):
                       f"ol {s.ol:.4f} or {s.or_:.4f}")
         elif args.stage == "report":
             print(pipeline.stage_report(args.out), end="")
-    except (pipeline.StageInputError, config.ConfigError) as e:
+    except (pipeline.StageInputError, pipeline.ProvenanceError, config.ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1 if "provenance" in str(e) or "missing" in str(e) else 2
+        return 2
     except Exception as e:  # unexpected failure
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2

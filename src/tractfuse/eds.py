@@ -12,12 +12,12 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .env import BatchTracker, STATE_DIM
+from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 from .geometry import MDF_POINTS, build_reference_set, min_mdf_to_refs
-from .phantom import sample_field
 
 EDS_MAGIC = b"EDS1"
 MIN_TRANSITIONS = 47
@@ -73,45 +73,23 @@ def compute_rtg(rewards):
     return np.cumsum(r[::-1])[::-1].astype(np.float32)
 
 
-def _window_seeds(mask, origin, window, seeds_per_voxel, rng):
-    """Seeds from in-mask voxels inside one contiguous sub-window."""
-    o = np.asarray(origin)
-    sub = mask[o[0]:o[0] + window, o[1]:o[1] + window, o[2]:o[2] + window]
-    voxels = np.argwhere(sub > 0) + o
-    if len(voxels) == 0:
-        raise EdsError(f"mask window at {tuple(origin)} contains no voxels")
-    seeds = []
-    for v in voxels:
-        for _ in range(seeds_per_voxel):
-            cand = v + rng.uniform(-0.5, 0.5, size=3)
-            if sample_field(mask, cand) >= 0.5:
-                seeds.append(cand)
-    if not seeds:
-        raise EdsError(f"no valid seeds in window at {tuple(origin)}")
-    return np.asarray(seeds)
-
-
 def _track_records(policy, policy_name, phantom, bundle_name, env_cfg, seeds, hints):
     """Deterministic rollout of one policy from a seed batch, fully recorded."""
     tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    states = tracker.reset(seeds, hints)
-    n = tracker.n
-    max_t = env_cfg.max_steps
+    n, max_t = len(seeds), env_cfg.max_steps
     s_buf = np.zeros((n, max_t, STATE_DIM), dtype=np.float32)
     a_buf = np.zeros((n, max_t, 3), dtype=np.float32)
     r_buf = np.zeros((n, max_t), dtype=np.float32)
-    while tracker.active.any():
-        act_mask = tracker.active.copy()
-        t_now = tracker.steps.copy()
-        actions = policy.act(states, mode="deterministic")
-        rewards, _, _ = tracker.step(actions)
+
+    def observe(live, states, actions, rewards, done, next_states):
+        t = tracker.steps[live] - 1
         norm = np.linalg.norm(actions, axis=1, keepdims=True)
         unit = np.divide(actions, norm, out=np.zeros_like(actions), where=norm > 0)
-        idx = np.nonzero(act_mask)[0]
-        s_buf[idx, t_now[idx]] = states[idx]
-        a_buf[idx, t_now[idx]] = unit[idx]
-        r_buf[idx, t_now[idx]] = rewards[idx]
-        states = tracker.states()
+        s_buf[live, t] = states[live]
+        a_buf[live, t] = unit[live]
+        r_buf[live, t] = rewards[live]
+
+    tracker.run(seeds, hints, partial(policy.act, mode="deterministic"), observe)
     streamlines = tracker.streamlines()
     records = []
     for i in range(n):
@@ -127,18 +105,22 @@ def _track_records(policy, policy_name, phantom, bundle_name, env_cfg, seeds, hi
 
 
 def harvest(policies, phantom, bundle_name, origin, spec, env_cfg, rng):
-    """Track every policy deterministically from one shared seed batch.
+    """Track every policy deterministically from one shared seed batch, seeded
+    from the in-mask voxels of one contiguous sub-window at `origin`.
 
     policies: mapping name -> PolicyBundle. Returns records grouped by policy.
     """
     mask = phantom.mask_for(bundle_name).values
-    seeds = _window_seeds(mask, origin, spec.window, spec.seeds_per_voxel, rng)
-    hints = np.zeros_like(seeds)
+    o, w = np.asarray(origin), spec.window
+    voxels = np.argwhere(mask[o[0]:o[0] + w, o[1]:o[1] + w, o[2]:o[2] + w] > 0) + o
+    if len(voxels) == 0:
+        raise EdsError(f"mask window at {tuple(origin)} contains no voxels")
+    seeds = jittered_seeds(mask, voxels, spec.seeds_per_voxel, rng)
+    if len(seeds) == 0:
+        raise EdsError(f"no valid seeds in window at {tuple(origin)}")
     signs = np.where(rng.random(len(seeds)) < 0.5, 1.0, -1.0)
-    for i, s in enumerate(seeds):
-        pk = phantom.peaks_at(s)
-        if len(pk):
-            hints[i] = pk[0] * signs[i]
+    hints, has_peak = peak_hints(phantom, seeds)
+    hints[has_peak] *= signs[has_peak, None]
     return {name: _track_records(p, name, phantom, bundle_name, env_cfg, seeds, hints)
             for name, p in policies.items()}
 

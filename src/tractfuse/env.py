@@ -5,8 +5,12 @@ State layout: 45 SH coefficients at the current position and its 6 axis
 neighbors (315), last 4 tracking directions newest-first (12, zero-padded),
 and the interpolated mask value at the same 7 positions (7).
 
-`BatchTracker` steps many episodes in lockstep with numpy; `TrackingEnv`
-is the single-episode wrapper around it.
+`BatchTracker` steps many episodes in lockstep with numpy, and
+`BatchTracker.run` is the one episode driver: every rollout (RL training,
+EDS harvesting, whole-bundle tracking, fusion tracking) goes through it.
+Every seeder draws its seeds with `jittered_seeds` and its direction hints
+with `peak_hints`. `TrackingEnv` is the single-episode wrapper around the
+tracker.
 """
 
 from __future__ import annotations
@@ -92,6 +96,27 @@ def reward(action, prev_dir, peaks):
     return float(align * u_factor)
 
 
+def jittered_seeds(mask, voxels, per_voxel, rng):
+    """`per_voxel` uniform jitters of each voxel center, drawn voxel-major,
+    keeping those whose interpolated mask value is at least 0.5."""
+    cand = np.repeat(voxels, per_voxel, axis=0) + rng.uniform(
+        -0.5, 0.5, size=(len(voxels) * per_voxel, 3))
+    return cand[sample_field(mask, cand) >= 0.5]
+
+
+def peak_hints(phantom, seeds):
+    """First fODF peak at each seed (zero where there is none), and a mask of
+    the seeds that have one."""
+    hints = np.zeros((len(seeds), 3))
+    has_peak = np.zeros(len(seeds), dtype=bool)
+    for i, s in enumerate(seeds):
+        pk = phantom.peaks_at(s)
+        if len(pk):
+            hints[i] = pk[0]
+            has_peak[i] = True
+    return hints, has_peak
+
+
 class BatchTracker:
     """Lockstep batch of tracking episodes over one phantom bundle."""
 
@@ -153,6 +178,8 @@ class BatchTracker:
         if not self.active.any():
             raise EnvError("step on a batch with no active episodes")
         acts = np.asarray(actions, dtype=np.float64)
+        if not np.isfinite(acts[self.active]).all():
+            raise EnvError("non-finite action on an active episode")
         norms = np.linalg.norm(acts, axis=1, keepdims=True)
         if np.any(norms[self.active] == 0):
             raise EnvError("zero-norm action has no direction")
@@ -188,6 +215,23 @@ class BatchTracker:
         done = done_angle | done_mask | done_steps
         self.active = act & ~done
         return rewards, done, self.reasons.copy()
+
+    def run(self, seeds, hints, act, observe=None):
+        """Roll episodes from `seeds` until every one has ended.
+
+        Each step calls `act(states)` on the full batch, steps, and then
+        `observe(live, states, actions, rewards, done, next_states)`, where
+        `live` indexes the rows that were active before the step.
+        """
+        states = self.reset(seeds, hints)
+        while self.active.any():
+            live = np.nonzero(self.active)[0]
+            actions = act(states)
+            rewards, done, _ = self.step(actions)
+            next_states = self.states()
+            if observe is not None:
+                observe(live, states, actions, rewards, done, next_states)
+            states = next_states
 
     def streamlines(self):
         """Emitted streamlines so far, one (steps+1, 3) array per episode."""

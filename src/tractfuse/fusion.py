@@ -250,8 +250,7 @@ class FusionTracker:
         """Track all seeds to termination; returns streamlines (and optional
         flat transition arrays for critic updates)."""
         c = self.context
-        states = self.tracker.reset(seeds, hints)
-        n = self.tracker.n
+        n = len(seeds)
         r_buf = np.zeros((n, c), dtype=np.float32)
         s_buf = np.zeros((n, c, STATE_DIM), dtype=np.float32)
         a_buf = np.zeros((n, c, ACTION_DIM), dtype=np.float32)
@@ -259,7 +258,7 @@ class FusionTracker:
         rtg = np.full(n, self.rtg0, dtype=np.float64)
         trans = {"s": [], "a": [], "r": [], "s2": [], "d": []} if record_transitions else None
 
-        while self.tracker.active.any():
+        def act(states):
             act_idx = np.nonzero(self.tracker.active)[0]
             # slide the window left and append the current timestep; before the
             # window fills this just shifts padding out on the left
@@ -278,19 +277,19 @@ class FusionTracker:
                 rows = act_idx[lo:lo + chunk]
                 actions[rows] = self.model.act(r_buf[rows], s_buf[rows], a_buf[rows],
                                                pad_mask=valid[rows])
-            was_active = self.tracker.active.copy()
-            rewards, done, _ = self.tracker.step(actions)
-            next_states = self.tracker.states()
-            a_buf[act_idx, -1] = actions[act_idx]
-            if record_transitions:
-                trans["s"].append(states[act_idx])
-                trans["a"].append(actions[act_idx].astype(np.float32))
-                trans["r"].append(rewards[act_idx].astype(np.float32))
-                trans["s2"].append(next_states[act_idx])
-                trans["d"].append(done[act_idx].astype(np.float32))
-            rtg[was_active] = np.maximum(rtg[was_active] - rewards[was_active], 0.0)
-            states = next_states
+            return actions
 
+        def observe(live, states, actions, rewards, done, next_states):
+            a_buf[live, -1] = actions[live]
+            if record_transitions:
+                trans["s"].append(states[live])
+                trans["a"].append(actions[live].astype(np.float32))
+                trans["r"].append(rewards[live].astype(np.float32))
+                trans["s2"].append(next_states[live])
+                trans["d"].append(done[live].astype(np.float32))
+            rtg[live] = np.maximum(rtg[live] - rewards[live], 0.0)
+
+        self.tracker.run(seeds, hints, act, observe)
         streamlines = self.tracker.streamlines()
         if record_transitions:
             flat = tuple(np.concatenate(trans[k]) for k in ("s", "a", "r", "s2", "d"))

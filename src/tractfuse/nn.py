@@ -224,14 +224,6 @@ class AdamW:
         for p in self.params.values():
             p.grad = None
 
-    def state_tensors(self):
-        out = {}
-        for name in self.params:
-            out[name + ".m"] = self.m[name]
-            out[name + ".v"] = self.v[name]
-        out["step"] = np.asarray(float(self.step_count), dtype=np.float32)
-        return out
-
 
 # -- checkpoint IO ("CKP1") ---------------------------------------------------
 

@@ -26,6 +26,11 @@ class StageInputError(FileNotFoundError):
     """An expected upstream artifact is missing."""
 
 
+class ProvenanceError(RuntimeError):
+    """An upstream artifact is missing or no longer matches the hash that a
+    consuming stage recorded in its manifest."""
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -335,7 +340,7 @@ def stage_evaluate(cfg, outdir, force=False):
     outdir = Path(outdir)
     problems = verify_provenance(outdir)
     if problems and not force:
-        raise RuntimeError("provenance check failed (use --force to override): "
+        raise ProvenanceError("provenance check failed (use --force to override): "
                            + "; ".join(problems))
     phantom = load_phantom_with_gt(outdir)
     rows, inputs = [], [outdir / "phantom.phn"]

@@ -9,13 +9,13 @@ the reference set, voxelized, and scored with Dice / overlap / overreach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .env import BatchTracker
+from .env import BatchTracker, jittered_seeds, peak_hints
 from .fusion import FusionTracker
 from .geometry import MDF_POINTS, min_mdf_to_refs
-from .phantom import sample_field
 
 
 class TrackEvalError(RuntimeError):
@@ -80,23 +80,12 @@ class MaxQEnsemble:
 
 
 def seed_positions(phantom, bundle_name, seeds_per_voxel, rng):
-    """seeds_per_voxel uniform samples per in-mask voxel, with +/- peak hints."""
+    """seeds_per_voxel uniform samples per in-mask voxel, with peak hints."""
     mask = phantom.mask_for(bundle_name).values
-    voxels = np.argwhere(mask > 0)
-    seeds = []
-    for v in voxels:
-        for _ in range(seeds_per_voxel):
-            cand = v + rng.uniform(-0.5, 0.5, size=3)
-            if sample_field(mask, cand) >= 0.5:
-                seeds.append(cand)
-    if not seeds:
+    seeds = jittered_seeds(mask, np.argwhere(mask > 0), seeds_per_voxel, rng)
+    if len(seeds) == 0:
         raise TrackEvalError(f"no valid seeds in bundle '{bundle_name}'")
-    seeds = np.asarray(seeds)
-    hints = np.zeros_like(seeds)
-    for i, s in enumerate(seeds):
-        pk = phantom.peaks_at(s)
-        if len(pk):
-            hints[i] = pk[0]
+    hints, _ = peak_hints(phantom, seeds)
     return seeds, hints
 
 
@@ -108,23 +97,16 @@ def _merge_bidirectional(forward, backward):
     return out
 
 
-def _policy_rollout(actor, tracker, seeds, hints):
-    states = tracker.reset(seeds, hints)
-    while tracker.active.any():
-        actions = actor.act(states, mode="deterministic")
-        tracker.step(actions)
-        states = tracker.states()
-    return tracker.streamlines()
-
-
 def track_policy(actor, phantom, bundle_name, cfg, env_cfg, seed=0):
     """Bidirectional tracking with a single policy or a decision ensemble."""
     rng = np.random.default_rng(seed)
     seeds, hints = seed_positions(phantom, bundle_name, cfg.seeds_per_voxel, rng)
     tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    fwd = _policy_rollout(actor, tracker, seeds, hints)
-    bwd = _policy_rollout(actor, tracker, seeds, -hints)
-    return _merge_bidirectional(fwd, bwd)
+    act = partial(actor.act, mode="deterministic")
+    tracker.run(seeds, hints, act)
+    fwd = tracker.streamlines()
+    tracker.run(seeds, -hints, act)
+    return _merge_bidirectional(fwd, tracker.streamlines())
 
 
 def track_fusion(model, phantom, bundle_name, cfg, env_cfg, seed=0):

@@ -10,6 +10,7 @@ import pytest
 from tractfuse import cli, pipeline
 from tractfuse.config import (DEFAULTS, ConfigError, parse_config_text,
                               resolve_config)
+from tractfuse.eds import EdsError
 
 
 # -- config -------------------------------------------------------------------
@@ -176,6 +177,31 @@ def test_provenance_detects_tamper(tmp_path, cfg_file, capsys):
         f.write(b"\x00")
     problems = pipeline.verify_provenance(out)
     assert any("hash mismatch" in p for p in problems)
+
+
+def test_cli_failed_provenance_exit_1(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["--preset", "desk", "--config", str(cfg_file),
+                     "--out", str(out), "phantom"]) == 0
+    cfg = resolve_config(DESK_TUBE, preset="desk")
+    pipeline.write_manifest(out, "fake-stage", cfg, [out / "phantom.phn"], [])
+    with open(out / "phantom.phn", "ab") as f:
+        f.write(b"\x00")
+    rc = cli.main(["--preset", "desk", "--config", str(cfg_file),
+                   "--out", str(out), "evaluate"])
+    assert rc == 1
+    assert "provenance" in capsys.readouterr().err
+
+
+def test_cli_stage_error_saying_missing_exit_2(tmp_path, monkeypatch, capsys):
+    """The exit code follows the error type, not words in its message."""
+    def fail(cfg, outdir):
+        raise EdsError("harvest window has missing peaks")
+
+    monkeypatch.setattr(pipeline, "stage_eds", fail)
+    rc = cli.main(["--preset", "desk", "--out", str(tmp_path / "o"), "eds"])
+    assert rc == 2
+    assert "missing peaks" in capsys.readouterr().err
 
 
 def test_report_without_scores_exit_1(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Tracking-environment tests: state layout, alignment-reward oracle
 (independent straight-line evaluation), and termination semantics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tractfuse import agents, eds, trackeval
 from tractfuse.env import (EnvConfig, EnvError, REASON_LEFT_MASK,
                            REASON_MAX_STEPS, REASON_NONE, REASON_SHARP_ANGLE,
                            STATE_DIM, BatchTracker, TrackingEnv, reward)
+from tractfuse.phantom import sample_field
 
 RNG = np.random.default_rng(21)
 
@@ -219,6 +223,150 @@ def test_batch_matches_single(tube_phantom, env_cfg):
             assert out.reward == pytest.approx(float(batch_rewards[t][i]), abs=1e-9)
             if out.done:
                 break
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_action_rejected(tube_phantom, env_cfg, bad):
+    """A non-finite action on an active row must not become a zero move."""
+    mask = np.argwhere(tube_phantom.mask_for("tube").values > 0)
+    batch = BatchTracker(tube_phantom, "tube", env_cfg)
+    batch.reset(mask[[3, 11]].astype(np.float64))
+    with pytest.raises(EnvError, match="non-finite"):
+        batch.step(np.array([[1.0, 0.0, 0.0], [bad, 0.0, 1.0]]))
+    np.testing.assert_array_equal(batch.steps, [0, 0])
+
+
+def test_run_observes_rows_active_before_each_step(tube_phantom, env_cfg):
+    """`act` sees the full batch; `observe` sees exactly the rows that were
+    active before each step, and every one of their steps once."""
+    mask = np.argwhere(tube_phantom.mask_for("tube").values > 0)
+    seeds = mask[[0, len(mask) // 2, len(mask) - 1]].astype(np.float64)
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    active_before, observed = [], []
+
+    def act(states):
+        assert states.shape == (len(seeds), STATE_DIM)
+        active_before.append(tracker.active.copy())
+        return np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
+
+    def observe(live, states, actions, rewards, done, next_states):
+        observed.append(live.copy())
+        assert not rewards[np.setdiff1d(np.arange(len(seeds)), live)].any()
+
+    tracker.run(seeds, None, act, observe)
+    assert len(observed) == len(active_before) == tracker.steps.max()
+    for before, live in zip(active_before, observed):
+        np.testing.assert_array_equal(live, np.nonzero(before)[0])
+    assert len(set(tracker.steps)) > 1  # rows finish at different steps
+    assert sum(len(live) for live in observed) == tracker.steps.sum()
+    assert not tracker.active.any()
+
+
+# -- seeders ------------------------------------------------------------------
+# Per-seed reference loops: the vectorised seeders must draw the same numbers
+# in the same order, so seeds, hints and the generator state afterwards match.
+
+def _ref_jitter(mask, voxels, per_voxel, rng):
+    seeds = []
+    for v in voxels:
+        for _ in range(per_voxel):
+            cand = v + rng.uniform(-0.5, 0.5, size=3)
+            if sample_field(mask, cand) >= 0.5:
+                seeds.append(cand)
+    return np.asarray(seeds).reshape(-1, 3)
+
+
+def _ref_sample_seeds(phantom, bundle, n, rng):
+    mask = phantom.mask_for(bundle).values
+    voxels = np.argwhere(mask > 0)
+    seeds = np.zeros((n, 3))
+    filled = 0
+    while filled < n:
+        pick = voxels[rng.integers(0, len(voxels), size=n - filled)]
+        cand = pick + rng.uniform(-0.5, 0.5, size=pick.shape)
+        kept = cand[sample_field(mask, cand) >= 0.5]
+        seeds[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    hints = np.zeros((n, 3))
+    for i in range(n):
+        pk = phantom.peaks_at(seeds[i])
+        if len(pk):
+            hints[i] = pk[0] * (1.0 if rng.random() < 0.5 else -1.0)
+    return seeds, hints
+
+
+def _ref_seed_positions(phantom, bundle, per_voxel, rng):
+    mask = phantom.mask_for(bundle).values
+    seeds = _ref_jitter(mask, np.argwhere(mask > 0), per_voxel, rng)
+    hints = np.zeros_like(seeds)
+    for i, s in enumerate(seeds):
+        pk = phantom.peaks_at(s)
+        if len(pk):
+            hints[i] = pk[0]
+    return seeds, hints
+
+
+def _ref_harvest_seeds(phantom, bundle, origin, window, per_voxel, rng):
+    mask = phantom.mask_for(bundle).values
+    o = np.asarray(origin)
+    sub = mask[o[0]:o[0] + window, o[1]:o[1] + window, o[2]:o[2] + window]
+    seeds = _ref_jitter(mask, np.argwhere(sub > 0) + o, per_voxel, rng)
+    hints = np.zeros_like(seeds)
+    signs = np.where(rng.random(len(seeds)) < 0.5, 1.0, -1.0)
+    for i, s in enumerate(seeds):
+        pk = phantom.peaks_at(s)
+        if len(pk):
+            hints[i] = pk[0] * signs[i]
+    return seeds, hints
+
+
+def _harvest_seeds(phantom, bundle, origin, window, per_voxel, rng, monkeypatch):
+    """The (seeds, hints) batch that eds.harvest hands to every policy."""
+    seen = []
+
+    def capture(policy, name, phantom, bundle, env_cfg, seeds, hints):
+        seen.append((seeds, hints))
+        return []
+
+    monkeypatch.setattr(eds, "_track_records", capture)
+    spec = eds.HarvestSpec(window=window, seeds_per_voxel=per_voxel)
+    eds.harvest({"td3": None}, phantom, bundle, origin, spec, None, rng)
+    (batch,) = seen
+    return batch
+
+
+@pytest.fixture(scope="module")
+def gappy_phantom(crossing_phantom):
+    """The crossing with the peaks of every third voxel removed, so that the
+    seeders meet seeds without a peak (and so draw no sign for them)."""
+    counts = crossing_phantom.peak_counts.copy()
+    x, y, z = np.indices(counts.shape)
+    counts[(x + y + z) % 3 == 0] = 0
+    return dataclasses.replace(crossing_phantom, peak_counts=counts)
+
+
+@pytest.mark.parametrize("per_voxel", [1, 4, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scheme", ["sample_seeds", "seed_positions", "harvest"])
+def test_seeders_match_per_seed_loops(gappy_phantom, monkeypatch, scheme, seed, per_voxel):
+    phantom, bundle = gappy_phantom, "pair_a"
+    rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if scheme == "sample_seeds":
+        got = agents.sample_seeds(phantom, bundle, 16 * per_voxel, rng_new)
+        want = _ref_sample_seeds(phantom, bundle, 16 * per_voxel, rng_ref)
+    elif scheme == "seed_positions":
+        got = trackeval.seed_positions(phantom, bundle, per_voxel, rng_new)
+        want = _ref_seed_positions(phantom, bundle, per_voxel, rng_ref)
+    else:
+        args = (phantom, bundle, (4, 4, 2), 8, per_voxel)
+        got = _harvest_seeds(*args, rng_new, monkeypatch)
+        want = _ref_harvest_seeds(*args, rng_ref)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    has_peak = np.linalg.norm(want[1], axis=1) > 0
+    assert has_peak.any() and not has_peak.all()  # both hint paths exercised
+    assert rng_new.random() == rng_ref.random()
 
 
 def test_env_config_validation():
