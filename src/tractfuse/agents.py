@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, concat, exp, log, minimum, no_grad, tanh
+from .autodiff import Tensor, concat, exp, frozen, log, minimum, no_grad, tanh
 from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 
 ACTION_DIM = 3
@@ -283,23 +283,21 @@ def _update_critics(bundle, opt, batch, rng):
 def _update_actor(bundle, opt, batch, rng):
     s, _, _, _, _ = batch
     st = Tensor(s)
-    if bundle.algo == "sac":
-        a, logp = _sac_sample(bundle, st, rng)
-        x = concat([st, a], axis=1)
-        q = minimum(*(c(x) for c in bundle.critics)) if len(bundle.critics) == 2 \
-            else bundle.critics[0](x)
-        loss = (bundle.hyper.alpha * logp - q[:, 0]).mean()
-    else:
-        a = tanh(bundle.actor(st))
-        x = concat([st, a], axis=1)
-        loss = -(bundle.critics[0](x)[:, 0]).mean()
+    # only actor parameters step, so the critics stay off the tape
+    with frozen(bundle.critic_params().values()):
+        if bundle.algo == "sac":
+            a, logp = _sac_sample(bundle, st, rng)
+            x = concat([st, a], axis=1)
+            q = minimum(*(c(x) for c in bundle.critics)) if len(bundle.critics) == 2 \
+                else bundle.critics[0](x)
+            loss = (bundle.hyper.alpha * logp - q[:, 0]).mean()
+        else:
+            a = tanh(bundle.actor(st))
+            x = concat([st, a], axis=1)
+            loss = -(bundle.critics[0](x)[:, 0]).mean()
     _check_finite(float(loss.data), "actor loss")
     opt.zero_grad()
     loss.backward()
-    # only actor parameters step; clear critic grads picked up through the loss
-    for c in bundle.critics:
-        for p in c.params("").values():
-            p.grad = None
     opt.step()
     return float(loss.data)
 

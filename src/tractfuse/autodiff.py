@@ -4,6 +4,18 @@ Small tape-based engine: every op records its parents and a backward
 closure, `Tensor.backward` runs a topological sweep. float32 is the
 working precision; pass float64 arrays to run the whole graph in double
 (used by the gradient-check suite).
+
+Only what trains is differentiated. A tensor is tracked if it is a leaf
+with `requires_grad` or the output of a recorded op. An op is recorded
+only if one of its parents is tracked. Parents that were untracked when
+the op ran (constant inputs such as states and targets, and parameters
+held in `frozen`) are left off the tape, and the op's backward closure
+computes no gradient for them. The decision is taken at record time, not
+at `backward` time, because callers build a loss inside `frozen(...)` and
+run `backward` after the block has restored the flags; a tensor frozen
+during the forward gets no gradient from that recording. Pruning removes
+only nodes that reach no tracked leaf, so gradients reach trainable leaves
+in the same order and with the same bits as on a full tape.
 """
 
 from __future__ import annotations
@@ -25,6 +37,35 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+@contextlib.contextmanager
+def frozen(tensors):
+    """Clear `requires_grad` on `tensors` inside the block; the old flags
+    come back on exit, exceptions included. Ops recorded inside the block
+    give these tensors no gradient, even if `backward` runs later."""
+    tensors = list(tensors)
+    prev = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, prev):
+            t.requires_grad = flag
+
+
+def _tracked(t):
+    """True if gradients must flow into `t` (see the module docstring)."""
+    return t.requires_grad or t._grad_fn is not None
+
+
+def _is_basic_index(idx):
+    """True for ints, slices, Ellipsis and None (a view; no repeated cells)."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(p is None or p is Ellipsis or isinstance(p, slice)
+               or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
 
 
 def _unbroadcast(grad, shape):
@@ -63,15 +104,20 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
+        out.requires_grad = False
         out._backward_run = False
-        if _GRAD_ENABLED and any(p.requires_grad or p._grad_fn is not None for p in parents):
-            out.requires_grad = False
+        out._parents = ()
+        out._grad_fn = None
+        if not _GRAD_ENABLED:
+            return out
+        needs = [_tracked(p) for p in parents]
+        if all(needs):
             out._parents = parents
             out._grad_fn = grad_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._grad_fn = None
+        elif any(needs):
+            # untracked parents stay off the tape; grad_fn gives them None
+            out._parents = tuple(p for p, n in zip(parents, needs) if n)
+            out._grad_fn = lambda g: [pg for pg, n in zip(grad_fn(g), needs) if n]
         return out
 
     @staticmethod
@@ -137,8 +183,6 @@ class Tensor:
             if node._grad_fn is None:
                 continue
             for p, pg in zip(node._parents, node._grad_fn(g)):
-                if pg is None:
-                    continue
                 key = id(p)
                 grads[key] = pg if key not in grads else grads[key] + pg
 
@@ -147,9 +191,11 @@ class Tensor:
     def __add__(self, other):
         other = Tensor.as_tensor(other, dtype=self.dtype)
         a, b = self, other
+        na, nb = _tracked(a), _tracked(b)
         out = np.add(a.data, b.data)
         return Tensor._make(out, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+            _unbroadcast(g, a.data.shape) if na else None,
+            _unbroadcast(g, b.data.shape) if nb else None))
 
     __radd__ = __add__
 
@@ -166,19 +212,22 @@ class Tensor:
     def __mul__(self, other):
         other = Tensor.as_tensor(other, dtype=self.dtype)
         a, b = self, other
+        na, nb = _tracked(a), _tracked(b)
         out = np.multiply(a.data, b.data)
         return Tensor._make(out, (a, b), lambda g: (
-            _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)))
+            _unbroadcast(g * b.data, a.data.shape) if na else None,
+            _unbroadcast(g * a.data, b.data.shape) if nb else None))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = Tensor.as_tensor(other, dtype=self.dtype)
         a, b = self, other
+        na, nb = _tracked(a), _tracked(b)
         out = np.divide(a.data, b.data)
         return Tensor._make(out, (a, b), lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+            _unbroadcast(g / b.data, a.data.shape) if na else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if nb else None))
 
     def __pow__(self, p):
         a = self
@@ -188,12 +237,16 @@ class Tensor:
     def __matmul__(self, other):
         other = Tensor.as_tensor(other, dtype=self.dtype)
         a, b = self, other
+        na, nb = _tracked(a), _tracked(b)
         out = np.matmul(a.data, b.data)
 
         def grad_fn(g):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+            ga = gb = None
+            if na:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+            if nb:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            return ga, gb
 
         return Tensor._make(out, (a, b), grad_fn)
 
@@ -205,9 +258,14 @@ class Tensor:
         else:
             out = np.asarray(out)
 
+        basic = _is_basic_index(idx)
+
         def grad_fn(g):
             ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
+            if basic:
+                ga[idx] += g
+            else:
+                np.add.at(ga, idx, g)  # fancy indices may repeat a cell
             return (ga,)
 
         return Tensor._make(out, (a,), grad_fn)
@@ -276,11 +334,12 @@ def sqrt(x):
 
 def minimum(a, b):
     a, b = Tensor.as_tensor(a), Tensor.as_tensor(b)
+    na, nb = _tracked(a), _tracked(b)
     take_a = a.data <= b.data
     out = np.where(take_a, a.data, b.data)
     return Tensor._make(out, (a, b), lambda g: (
-        _unbroadcast(g * take_a, a.data.shape),
-        _unbroadcast(g * ~take_a, b.data.shape)))
+        _unbroadcast(g * take_a, a.data.shape) if na else None,
+        _unbroadcast(g * ~take_a, b.data.shape) if nb else None))
 
 
 ARCCOS_CLAMP = 1e-6
@@ -328,9 +387,11 @@ def concat(tensors, axis=-1):
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
+    needs = [_tracked(t) for t in tensors]
 
     def grad_fn(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+        return tuple(np.ascontiguousarray(p) if n else None
+                     for p, n in zip(np.split(g, splits, axis=axis), needs))
 
     return Tensor._make(out, tuple(tensors), grad_fn)
 

@@ -12,8 +12,8 @@ Stages (each writes its outputs plus a hash manifest into --out):
     evaluate  -> scores.tsv   (verifies upstream hashes unless --force)
     report    -> report.txt, printed table
 
-Exit codes: 0 success, 1 bad configuration, missing upstream artifact or
-failed provenance check, 2 unexpected runtime failure.
+Exit codes: 0 success, 1 bad configuration, missing upstream artifact,
+corrupt checkpoint or failed provenance check, 2 unexpected runtime failure.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def main(argv=None):
     if args.threads:
         _limit_threads(args.threads)  # must happen before numpy loads BLAS
 
-    from . import config, pipeline
+    from . import config, nn, pipeline
 
     try:
         cfg = _resolve(args, config)
@@ -124,7 +124,8 @@ def main(argv=None):
                       f"ol {s.ol:.4f} or {s.or_:.4f}")
         elif args.stage == "report":
             print(pipeline.stage_report(args.out), end="")
-    except (pipeline.StageInputError, pipeline.ProvenanceError, config.ConfigError) as e:
+    except (pipeline.StageInputError, pipeline.ProvenanceError, config.ConfigError,
+            nn.CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, arccos_clamped, concat, minimum, no_grad, sqrt, tanh
+from .autodiff import Tensor, arccos_clamped, concat, frozen, minimum, no_grad, sqrt, tanh
 from .env import BatchTracker, STATE_DIM
 
 ACTION_DIM = 3
@@ -207,19 +207,21 @@ def _supervised_stage(model, records, schedule, trainable, seed, stage_name):
     opt = nn.AdamW(trainable, lr=schedule.lr, warmup=schedule.warmup)
     log = {"iteration_loss": [], "stage": stage_name}
     c = model.config.context
-    for _ in range(schedule.iterations):
-        losses = []
-        for _ in range(schedule.updates_per_iter):
-            rtg, s, a, valid = sample_windows(records, c, schedule.batch_size, rng)
-            pred = model.predict_actions(rtg, s, a, pad_mask=valid, training=True, rng=rng)
-            loss = loss_dist_cos(pred, a, valid)
-            if not np.isfinite(loss.data):
-                raise FusionError(f"{stage_name}: non-finite loss; training aborted")
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        log["iteration_loss"].append(float(np.mean(losses)) if losses else float("nan"))
+    fixed = [p for k, p in model.params().items() if k not in trainable]
+    with frozen(fixed):
+        for _ in range(schedule.iterations):
+            losses = []
+            for _ in range(schedule.updates_per_iter):
+                rtg, s, a, valid = sample_windows(records, c, schedule.batch_size, rng)
+                pred = model.predict_actions(rtg, s, a, pad_mask=valid, training=True, rng=rng)
+                loss = loss_dist_cos(pred, a, valid)
+                if not np.isfinite(loss.data):
+                    raise FusionError(f"{stage_name}: non-finite loss; training aborted")
+                opt.zero_grad()
+                loss.backward()
+                opt.step()
+                losses.append(float(loss.data))
+            log["iteration_loss"].append(float(np.mean(losses)) if losses else float("nan"))
     return log
 
 
@@ -300,7 +302,10 @@ class FusionTracker:
 # -- MCPFT --------------------------------------------------------------------
 
 def mcpft_actor_loss(model, policies, rtg, s, a, valid, training=False, rng=None):
-    """Composite loss: angular term plus -sum_t Q_k(s_t, a_hat_t) per critic."""
+    """Composite loss: angular term plus -sum_t Q_k(s_t, a_hat_t) per critic.
+
+    The critics are frozen while the loss is built, so `backward` on it
+    reaches only the fusion model's parameters."""
     pred = model.predict_actions(rtg, s, a, pad_mask=valid, training=training, rng=rng)
     sup = loss_dist_cos(pred, a, valid)
     b, t = rtg.shape
@@ -309,11 +314,13 @@ def mcpft_actor_loss(model, policies, rtg, s, a, valid, training=False, rng=None
     s_const = Tensor(np.asarray(s, dtype=np.float32).reshape(b * t, STATE_DIM))
     x = concat([s_const, flat_pred], axis=1)
     w = np.asarray(valid, dtype=np.float32).reshape(b * t)
-    for bundle in policies.values():
-        qs = [c(x)[:, 0] for c in bundle.critics]
-        q = qs[0] if len(qs) == 1 else minimum(qs[0], qs[1])
-        critic_term = -((q * w).reshape(b, t).sum(axis=1)).mean()
-        total = total + critic_term
+    critic_params = [p for bundle in policies.values() for p in bundle.critic_params().values()]
+    with frozen(critic_params):
+        for bundle in policies.values():
+            qs = [c(x)[:, 0] for c in bundle.critics]
+            q = qs[0] if len(qs) == 1 else minimum(qs[0], qs[1])
+            critic_term = -((q * w).reshape(b, t).sum(axis=1)).mean()
+            total = total + critic_term
     return total, sup
 
 
@@ -344,8 +351,6 @@ def mcpft(model, policies, records, phantom, bundle_name, env_cfg,
                 raise FusionError("mcpft: non-finite actor loss; training aborted")
             actor_opt.zero_grad()
             loss.backward()
-            for opts in critic_opts.values():
-                opts.zero_grad()  # critic grads from the actor loss are discarded
             actor_opt.step()
             n_actor += 1
             log["actor_loss"].append(float(loss.data))

@@ -7,6 +7,7 @@ and a 4-block single-head causal transformer for the fusion policy.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -15,6 +16,10 @@ from .autodiff import Tensor, concat, dropout, layernorm, relu, softmax
 
 CKP_MAGIC = b"CKP1"
 _META_PREFIX = "__meta__/"
+
+
+class CheckpointError(ValueError):
+    """A CKP1 file that is corrupt, truncated or not a checkpoint at all."""
 
 
 def parameter(arr):
@@ -248,34 +253,45 @@ def save_checkpoint(path, tensors, meta=None):
 
 
 def load_checkpoint(path):
-    """Read a CKP1 file; returns (tensors: dict, meta: dict)."""
+    """Read a CKP1 file; returns (tensors: dict, meta: dict).
+
+    Raises `CheckpointError` naming the file on a bad magic, a short read
+    anywhere (header, name, dims or payload) or trailing bytes."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != CKP_MAGIC:
-        raise ValueError(f"bad checkpoint magic in {path}: {raw[:4]!r}")
+        raise CheckpointError(f"bad checkpoint magic in {path}: {raw[:4]!r}")
     off = 4
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(raw):
+            raise CheckpointError(f"truncated checkpoint {path}: {what} needs {n} bytes "
+                                  f"at offset {off}, file has {len(raw)}")
+        off += n
+        return off - n
+
+    (count,) = struct.unpack_from("<I", raw, take(4, "header"))
     tensors, meta = {}, {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
+        (nlen,) = struct.unpack_from("<H", raw, take(2, "name length"))
+        start = take(nlen, "name")
+        try:
+            name = raw[start:start + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"bad tensor name in checkpoint {path} at offset {start}") from e
+        (rank,) = struct.unpack_from("<B", raw, take(1, "rank"))
+        dims = struct.unpack_from(f"<{rank}I", raw, take(4 * rank, "dims"))
+        n = math.prod(dims)
+        arr = np.frombuffer(raw, dtype="<f4", count=n,
+                            offset=take(4 * n, f"payload of '{name}'")).reshape(dims)
         if name.startswith(_META_PREFIX):
             key, _, value = name[len(_META_PREFIX):].partition("=")
             meta[key] = value
         else:
             tensors[name] = arr.copy()
     if off != len(raw):
-        raise ValueError(f"trailing bytes in checkpoint {path} at offset {off}")
+        raise CheckpointError(f"trailing bytes in checkpoint {path} at offset {off}")
     return tensors, meta
 
 

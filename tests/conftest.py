@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from tractfuse import agents
+from tractfuse.autodiff import Tensor
 from tractfuse.env import EnvConfig
 from tractfuse.phantom import BundleSpec, PhantomSpec, VoxelGrid, generate_phantom
 
@@ -25,6 +28,37 @@ def rel_err(a, b):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / denom
+
+
+def tape_nodes(root):
+    """Number of tensors reachable from `root` through the tape."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+@pytest.fixture()
+def backward_log(monkeypatch):
+    """List of (loss bytes, tape nodes), one entry per `Tensor.backward` call."""
+    log = []
+    original = Tensor.backward
+
+    def recording(self, grad=None):
+        log.append((self.data.tobytes(), tape_nodes(self)))
+        return original(self, grad)
+
+    monkeypatch.setattr(Tensor, "backward", recording)
+    return log
+
+
+def keep_all_on_tape(monkeypatch, module):
+    """Make `module.frozen` a no-op: every parameter stays on the tape and
+    collects gradients; only the optimizer's own parameters step."""
+    monkeypatch.setattr(module, "frozen", lambda tensors: contextlib.nullcontext())
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ numerical integration, and checkpoint round-trips."""
 import numpy as np
 import pytest
 
+from conftest import keep_all_on_tape
 from tractfuse import agents, nn
 from tractfuse.agents import (ACTION_DIM, PolicyBundle, ReplayBuffer, RlHyper,
                               sac_log_prob)
@@ -199,6 +200,34 @@ def test_actor_update_leaves_critics_unchanged():
         np.testing.assert_array_equal(v.data, critics_before[k])
     # and critic grads were cleared, so a later critic step is unaffected
     assert all(v.grad is None for v in p.critic_params().values())
+
+
+@pytest.mark.parametrize("algo", agents.ALGOS)
+def test_actor_update_pruned_tape_same_bytes(algo, monkeypatch, backward_log):
+    """Actor updates with the critics frozen give the bytes of the full
+    tape, where critic grads were computed and then cleared."""
+    batches = [small_batch(n=16) for _ in range(3)]
+    hyper = RlHyper(lr=1e-2, sigma=0.3, gamma=0.9, alpha=0.1)
+
+    def run():
+        p = PolicyBundle(algo, hyper=hyper, hidden=16, seed=4)
+        opt = nn.AdamW(p.actor_params(), lr=1e-2)
+        rng = np.random.default_rng(8)
+        losses = [agents._update_actor(p, opt, b, rng) for b in batches]
+        return losses, {k: v.data.tobytes()
+                        for k, v in {**p.actor_params(), **p.critic_params()}.items()}
+
+    pruned_losses, pruned_state = run()
+    pruned_nodes = [n for _, n in backward_log]
+    backward_log.clear()
+    keep_all_on_tape(monkeypatch, agents)
+    full_losses, full_state = run()
+    full_nodes = [n for _, n in backward_log]
+
+    assert pruned_losses == full_losses
+    assert pruned_state == full_state
+    assert len(pruned_nodes) == len(full_nodes) == 3
+    assert all(a < b for a, b in zip(pruned_nodes, full_nodes))
 
 
 def test_policy_checkpoint_roundtrip(tmp_path, tiny_policies):

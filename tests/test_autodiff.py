@@ -143,3 +143,102 @@ def test_dropout_grad_matches_mask():
 def test_tensor_coerces_int_input_to_float32():
     t = Tensor(np.arange(3))
     assert t.data.dtype == np.float32
+
+
+# -- pruning: only what trains is differentiated -------------------------------
+
+def test_frozen_leaf_gets_no_grad():
+    w = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+    v = Tensor(RNG.normal(size=(2,)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(4, 3)))
+    with ad.frozen([w]):
+        ((x @ w) * v).sum().backward()
+    assert w.grad is None
+    assert v.grad is not None
+    assert w.requires_grad
+
+
+def test_frozen_restores_flags_after_exception():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=False)
+    with pytest.raises(KeyError):
+        with ad.frozen([a, b]):
+            assert not a.requires_grad and not b.requires_grad
+            raise KeyError("boom")
+    assert a.requires_grad and not b.requires_grad
+
+
+def test_freeze_is_decided_at_record_time():
+    """A tensor frozen only while the forward ran gets no grad from a
+    backward that runs after the block restored its flag."""
+    w = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+    with ad.frozen([w]):
+        loss = ad.tanh(x @ w).sum()
+    assert w.requires_grad
+    loss.backward()
+    assert w.grad is None
+    assert x.grad is not None
+
+
+BINARY_OPS = [
+    lambda a, b: a + b,
+    lambda a, b: a * b,
+    lambda a, b: a / b,
+    lambda a, b: a @ b,
+    lambda a, b: ad.minimum(a, b),
+]
+
+
+@pytest.mark.parametrize("op", BINARY_OPS + [lambda a, b: ad.concat([a, b], axis=0)])
+def test_untracked_parent_stays_off_tape(op):
+    a = Tensor(RNG.uniform(1, 2, size=(3, 3)), requires_grad=True)
+    const = Tensor(RNG.uniform(1, 2, size=(3, 3)))
+    for out in (op(a, const), op(const, a)):
+        assert out._parents == (a,)
+        (grad,) = out._grad_fn(np.ones_like(out.data))
+        assert grad.shape == a.shape
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_untracked_parent_grad_not_computed(op, monkeypatch):
+    """Backward builds a gradient array for the tracked operand only."""
+    calls = []
+
+    def counting(grad, shape):
+        calls.append(shape)
+        return ad_unbroadcast(grad, shape)
+
+    ad_unbroadcast = ad._unbroadcast
+    monkeypatch.setattr(ad, "_unbroadcast", counting)
+    a = Tensor(RNG.uniform(1, 2, size=(3, 3)), requires_grad=True)
+    const = Tensor(RNG.uniform(1, 2, size=(3, 3)))
+    op(const, a).sum().backward()
+    op(a, const).sum().backward()
+    assert calls == [a.shape, a.shape]
+
+
+def test_fancy_index_duplicates_grad():
+    check_grad(lambda x: (x[[0, 2, 2]] * x[[0, 2, 2]]).sum(), (4, 6))
+    x = Tensor(np.ones((4, 2)), requires_grad=True)
+    x[[0, 2, 2]].sum().backward()
+    np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0], [2, 2], [0, 0]])
+
+
+@pytest.mark.parametrize("idx", [
+    (Ellipsis, slice(64, 128)),
+    (slice(None), slice(3, 40, 2), slice(None)),
+    (slice(None), 5, slice(None)),
+    (7,),
+    (None, slice(2, 9)),
+])
+def test_basic_slice_backward_bit_equal_to_add_at(idx):
+    x0 = np.random.default_rng(5).normal(size=(32, 48, 192)).astype(np.float32)
+    g = np.random.default_rng(6).normal(size=x0[idx].shape).astype(np.float32)
+    g[g < -1.0] = -0.0  # signed zeros must come through unchanged too
+    x = Tensor(x0, requires_grad=True)
+    x[idx].backward(grad=g)
+    ref = np.zeros_like(x0)
+    np.add.at(ref, idx, g)
+    assert x.grad.dtype == np.float32
+    assert x.grad.tobytes() == ref.tobytes()

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from tractfuse import cli, pipeline
+from tractfuse import agents, cli, pipeline
 from tractfuse.config import (DEFAULTS, ConfigError, parse_config_text,
                               resolve_config)
 from tractfuse.eds import EdsError
@@ -202,6 +202,21 @@ def test_cli_stage_error_saying_missing_exit_2(tmp_path, monkeypatch, capsys):
     rc = cli.main(["--preset", "desk", "--out", str(tmp_path / "o"), "eds"])
     assert rc == 2
     assert "missing peaks" in capsys.readouterr().err
+
+
+def test_cli_truncated_checkpoint_exit_1(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["--preset", "desk", "--config", str(cfg_file),
+                     "--out", str(out), "phantom"]) == 0
+    ckp = out / "policy_td3.ckp"
+    agents.PolicyBundle("td3", hidden=8).save(ckp)
+    ckp.write_bytes(ckp.read_bytes()[:-10])
+    capsys.readouterr()
+    rc = cli.main(["--preset", "desk", "--config", str(cfg_file),
+                   "--out", str(out), "track", "--algo", "td3", "--bundle", "bundle"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(ckp) in err and "internal error" not in err
 
 
 def test_report_without_scores_exit_1(tmp_path, capsys):

@@ -4,6 +4,7 @@ freezing, critic-augmented actor loss decomposition, and update counters."""
 import numpy as np
 import pytest
 
+from conftest import keep_all_on_tape
 from tractfuse import agents, eds, fusion
 from tractfuse.autodiff import Tensor
 from tractfuse.eds import TrajectoryRecord, compute_rtg
@@ -180,6 +181,37 @@ def test_finetune_freezes_early_layers():
     assert moved
 
 
+DROPOUT_CFG = FusionConfig(context=6, width=16, n_blocks=2, dropout=0.1)
+
+
+def params_bytes(params):
+    return {k: v.data.tobytes() for k, v in params.items()}
+
+
+def test_finetune_pruned_tape_same_bytes(monkeypatch, backward_log):
+    """Finetune with frozen params off the tape gives the bytes of the full
+    tape (every param collecting grads, only the final layers stepping),
+    with the same dropout draws in the frozen blocks, on fewer tape nodes."""
+    recs = make_records(n=8, t=12)
+    schedule = TrainSchedule(iterations=2, updates_per_iter=4, batch_size=4,
+                             lr=1e-2, warmup=3)
+    pruned = FusionModel(DROPOUT_CFG, seed=3)
+    fusion.finetune(pruned, recs, schedule, seed=5)
+    pruned_log = list(backward_log)
+    backward_log.clear()
+    keep_all_on_tape(monkeypatch, fusion)
+    full = FusionModel(DROPOUT_CFG, seed=3)
+    fusion.finetune(full, recs, schedule, seed=5)
+
+    assert len(pruned_log) == 8
+    assert [loss for loss, _ in pruned_log] == [loss for loss, _ in backward_log]
+    assert params_bytes(pruned.params()) == params_bytes(full.params())
+    assert all(p.grad is None for p in pruned.frozen_params().values())
+    assert all(p.grad is not None for p in full.frozen_params().values())
+    for (_, n_pruned), (_, n_full) in zip(pruned_log, backward_log):
+        assert n_pruned < n_full
+
+
 def test_pretrain_reduces_loss():
     m = tiny_model()
     recs = make_records(n=10, t=12)
@@ -265,6 +297,39 @@ def test_mcpft_counters_and_critic_updates(tube_phantom, env_cfg, tiny_policies)
     assert log["actor_updates"] == [3, 3]
     for name in tiny_policies:
         assert log["critic_updates"][name] == [1, 1]
+
+
+def test_mcpft_pruned_tape_same_bytes(monkeypatch, backward_log, tube_phantom, env_cfg):
+    """MCPFT actor updates with the critics frozen give the bytes of the
+    full tape, where the critic grads were computed and thrown away."""
+    recs = make_records(n=8, t=12)
+    schedule = McpftSchedule(iterations=2, batch_size=4, actor_updates_per_iter=3,
+                             critic_updates_per_iter=1, lr=1e-3,
+                             rollout_episodes=4, rtg0=10.0)
+
+    def run():
+        model = FusionModel(DROPOUT_CFG, seed=1)
+        policies = {algo: agents.PolicyBundle(algo, hidden=16, seed=i)
+                    for i, algo in enumerate(("td3", "sac", "ddpg"))}
+        log = fusion.mcpft(model, policies, recs, tube_phantom, "tube", env_cfg,
+                           schedule, seed=2)
+        state = params_bytes(model.params())
+        for name, p in policies.items():
+            state.update(params_bytes({f"{name}.{k}": v for k, v in p.critic_params().items()}))
+        return log, state
+
+    pruned_log, pruned_state = run()
+    pruned_nodes = [n for _, n in backward_log]
+    backward_log.clear()
+    keep_all_on_tape(monkeypatch, fusion)
+    full_log, full_state = run()
+    full_nodes = [n for _, n in backward_log]
+
+    assert pruned_log["actor_loss"] == full_log["actor_loss"]
+    assert pruned_log["supervised_loss"] == full_log["supervised_loss"]
+    assert pruned_state == full_state
+    assert len(pruned_nodes) == len(full_nodes) == 6 + 2 * 3  # actor + critic steps
+    assert sum(pruned_nodes) < sum(full_nodes)
 
 
 def test_mcpft_empty_dataset_rejected(tube_phantom, env_cfg, tiny_policies):

@@ -1,8 +1,13 @@
 """Network-module gradient checks (64-bit graphs vs finite differences),
 AdamW against a step-by-step numpy oracle, and checkpoint round-trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_diff_grad, rel_err
 from tractfuse import nn
@@ -183,6 +188,25 @@ def test_checkpoint_truncation(tmp_path):
     path.write_bytes(raw + b"\x00\x00")
     with pytest.raises(ValueError, match="trailing"):
         nn.load_checkpoint(path)
+
+
+_shapes = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=st.lists(_shapes, min_size=1, max_size=3), data=st.data())
+def test_checkpoint_every_truncation_is_named(shapes, data):
+    """Every proper prefix of a valid CKP1 file raises CheckpointError
+    naming the file, never a bare numpy or struct error."""
+    tensors = {f"t{i}.w": np.full(shape, i, dtype=np.float32) for i, shape in enumerate(shapes)}
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.ckp"
+        nn.save_checkpoint(path, tensors, meta={"algo": "td3"})
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        with pytest.raises(nn.CheckpointError, match="t.ckp"):
+            nn.load_checkpoint(path)
 
 
 def test_assign_params_shape_mismatch():
