@@ -124,9 +124,6 @@ class Tensor:
     def as_tensor(x, dtype=None):
         return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
 
-    def detach(self):
-        return Tensor(self.data)
-
     @property
     def shape(self):
         return self.data.shape
@@ -138,9 +135,6 @@ class Tensor:
     @property
     def ndim(self):
         return self.data.ndim
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"

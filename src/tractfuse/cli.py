@@ -76,7 +76,7 @@ def main(argv=None):
     if args.threads:
         _limit_threads(args.threads)  # must happen before numpy loads BLAS
 
-    from . import config, nn, pipeline
+    from . import binio, config, pipeline
 
     try:
         cfg = _resolve(args, config)
@@ -125,7 +125,7 @@ def main(argv=None):
         elif args.stage == "report":
             print(pipeline.stage_report(args.out), end="")
     except (pipeline.StageInputError, pipeline.ProvenanceError, config.ConfigError,
-            nn.CheckpointError) as e:
+            binio.FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:

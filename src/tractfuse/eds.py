@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from . import binio
 from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 from .geometry import MDF_POINTS, build_reference_set, min_mdf_to_refs
 
@@ -28,6 +29,10 @@ POLICY_IDS = {name: i for i, name in enumerate(POLICY_ORDER)}
 
 class EdsError(RuntimeError):
     pass
+
+
+class EdsFormatError(EdsError, binio.FormatError):
+    """A corrupt or truncated EDS1 file."""
 
 
 @dataclass
@@ -233,51 +238,32 @@ def save_records(records, path):
         f.write(EDS_MAGIC)
         f.write(struct.pack("<I", len(records)))
         for r in records:
-            t = r.length
-            nb = r.bundle_name.encode("utf-8")
             f.write(struct.pack("<B", POLICY_IDS[r.policy_id]))
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", t))
-            f.write(r.states.astype("<f4").tobytes())
-            f.write(r.actions.astype("<f4").tobytes())
-            f.write(r.rewards.astype("<f4").tobytes())
-            f.write(r.rtg.astype("<f4").tobytes())
-            f.write(r.streamline.astype("<f4").tobytes())
+            f.write(binio.pack_str(r.bundle_name))
+            f.write(struct.pack("<I", r.length))
+            for arr in (r.states, r.actions, r.rewards, r.rtg, r.streamline):
+                f.write(arr.astype("<f4").tobytes())
 
 
 def load_records(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != EDS_MAGIC:
-        raise EdsError(f"bad dataset magic in {path}: {raw[:4]!r}")
-    (count,) = struct.unpack_from("<I", raw, 4)
-    off = 8
+    r = binio.Reader(path, EDS_MAGIC, EdsFormatError)
+    (count,) = r.unpack("I", "record count")
     out = []
-
-    def take(dtype, n, shape):
-        nonlocal off
-        arr = np.frombuffer(raw, dtype=dtype, count=n, offset=off).reshape(shape).copy()
-        off += arr.nbytes
-        return arr
-
     for _ in range(count):
-        (pid,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        bundle = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (t,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        states = take("<f4", t * STATE_DIM, (t, STATE_DIM))
-        actions = take("<f4", t * 3, (t, 3))
-        rewards = take("<f4", t, (t,))
-        rtg = take("<f4", t, (t,))
-        streamline = take("<f4", (t + 1) * 3, (t + 1, 3))
+        (pid,) = r.unpack("B", "policy id")
+        if pid >= len(POLICY_ORDER):
+            r.fail(f"unknown policy id {pid}")
+        bundle = r.string("bundle name")
+        (t,) = r.unpack("I", "record length")
+        if t < 1:
+            r.fail("empty record")
+        states = r.array("<f4", (t, STATE_DIM), "states")
+        actions = r.array("<f4", (t, 3), "actions")
+        rewards = r.array("<f4", (t,), "rewards")
+        rtg = r.array("<f4", (t,), "rtg")
+        streamline = r.array("<f4", (t + 1, 3), "streamline")
         out.append(TrajectoryRecord(states=states, actions=actions, rewards=rewards,
                                     rtg=rtg, policy_id=POLICY_ORDER[pid],
                                     streamline=streamline, bundle_name=bundle))
-    if off != len(raw):
-        raise EdsError(f"trailing bytes in dataset file at offset {off}")
+    r.end()
     return out

@@ -7,6 +7,8 @@ import struct
 
 import numpy as np
 
+from . import binio
+
 STL_MAGIC = b"STL1"
 MDF_POINTS = 20  # canonical resampling for MDF comparisons
 REFERENCE_COUNT = 15
@@ -14,6 +16,10 @@ REFERENCE_COUNT = 15
 
 class GeometryError(ValueError):
     pass
+
+
+class StreamlineFormatError(GeometryError, binio.FormatError):
+    """A corrupt or truncated STL1 file."""
 
 
 def resample(streamline, k):
@@ -94,8 +100,7 @@ def save_streamlines(streamlines, path, voxel_size=1.0):
     u32 npoints + npoints x 3 f32, little-endian, voxel coordinates."""
     with open(path, "wb") as f:
         f.write(STL_MAGIC)
-        f.write(struct.pack("<f", voxel_size))
-        f.write(struct.pack("<I", len(streamlines)))
+        f.write(struct.pack("<fI", voxel_size, len(streamlines)))
         for s in streamlines:
             pts = np.asarray(s, dtype="<f4")
             f.write(struct.pack("<I", pts.shape[0]))
@@ -104,28 +109,13 @@ def save_streamlines(streamlines, path, voxel_size=1.0):
 
 def load_streamlines(path):
     """Read an STL1 file; returns (list of (n,3) float32 arrays, voxel_size)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != STL_MAGIC:
-        raise GeometryError(f"bad streamline magic in {path}: {raw[:4]!r}")
-    if len(raw) < 12:
-        raise GeometryError(f"truncated streamline file at byte {len(raw)}")
-    (voxel_size,) = struct.unpack_from("<f", raw, 4)
-    (count,) = struct.unpack_from("<I", raw, 8)
-    off = 12
+    r = binio.Reader(path, STL_MAGIC, StreamlineFormatError)
+    voxel_size, count = r.unpack("fI", "header")
     out = []
     for _ in range(count):
-        if off + 4 > len(raw):
-            raise GeometryError(f"truncated streamline file at byte {off}")
-        (npts,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        nbytes = npts * 12
-        if off + nbytes > len(raw):
-            raise GeometryError(f"truncated streamline file at byte {off}")
-        out.append(np.frombuffer(raw, dtype="<f4", count=npts * 3, offset=off).reshape(npts, 3).copy())
-        off += nbytes
-    if off != len(raw):
-        raise GeometryError(f"trailing bytes in streamline file at offset {off}")
+        (npts,) = r.unpack("I", "point count")
+        out.append(r.array("<f4", (npts, 3), "points"))
+    r.end()
     return out, float(voxel_size)
 
 

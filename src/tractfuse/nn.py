@@ -7,18 +7,18 @@ and a 4-block single-head causal transformer for the fusion policy.
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
 
+from . import binio
 from .autodiff import Tensor, concat, dropout, layernorm, relu, softmax
 
 CKP_MAGIC = b"CKP1"
 _META_PREFIX = "__meta__/"
 
 
-class CheckpointError(ValueError):
+class CheckpointError(binio.FormatError):
     """A CKP1 file that is corrupt, truncated or not a checkpoint at all."""
 
 
@@ -243,12 +243,8 @@ def save_checkpoint(path, tensors, meta=None):
         f.write(CKP_MAGIC)
         f.write(struct.pack("<I", len(entries)))
         for name, arr in entries:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            for d in arr.shape:
-                f.write(struct.pack("<I", d))
+            f.write(binio.pack_str(name))
+            f.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             f.write(arr.astype("<f4").tobytes())
 
 
@@ -257,41 +253,20 @@ def load_checkpoint(path):
 
     Raises `CheckpointError` naming the file on a bad magic, a short read
     anywhere (header, name, dims or payload) or trailing bytes."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != CKP_MAGIC:
-        raise CheckpointError(f"bad checkpoint magic in {path}: {raw[:4]!r}")
-    off = 4
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(raw):
-            raise CheckpointError(f"truncated checkpoint {path}: {what} needs {n} bytes "
-                                  f"at offset {off}, file has {len(raw)}")
-        off += n
-        return off - n
-
-    (count,) = struct.unpack_from("<I", raw, take(4, "header"))
+    r = binio.Reader(path, CKP_MAGIC, CheckpointError)
+    (count,) = r.unpack("I", "header")
     tensors, meta = {}, {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, take(2, "name length"))
-        start = take(nlen, "name")
-        try:
-            name = raw[start:start + nlen].decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise CheckpointError(f"bad tensor name in checkpoint {path} at offset {start}") from e
-        (rank,) = struct.unpack_from("<B", raw, take(1, "rank"))
-        dims = struct.unpack_from(f"<{rank}I", raw, take(4 * rank, "dims"))
-        n = math.prod(dims)
-        arr = np.frombuffer(raw, dtype="<f4", count=n,
-                            offset=take(4 * n, f"payload of '{name}'")).reshape(dims)
+        name = r.string("tensor name")
+        (rank,) = r.unpack("B", "rank")
+        dims = r.unpack(f"{rank}I", "dims")
+        arr = r.array("<f4", dims, f"payload of '{name}'")
         if name.startswith(_META_PREFIX):
             key, _, value = name[len(_META_PREFIX):].partition("=")
             meta[key] = value
         else:
-            tensors[name] = arr.copy()
-    if off != len(raw):
-        raise CheckpointError(f"trailing bytes in checkpoint {path} at offset {off}")
+            tensors[name] = arr
+    r.end()
     return tensors, meta
 
 

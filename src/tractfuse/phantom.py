@@ -14,18 +14,25 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import sph_harm_y
+
+from . import binio
 
 PHN_MAGIC = b"PHN1"
 SH_ORDERS = (0, 2, 4, 6, 8)
 N_SH = 45
 MAX_PEAKS = 3
 _MERGE_DOT = 0.985  # peaks closer than ~10 degrees collapse into one
+# One voxel's PHN1 peak entry: u8 count, then MAX_PEAKS x 3 f32 directions.
+_PEAK_RECORD = np.dtype([("count", "u1"), ("dirs", "<f4", (MAX_PEAKS, 3))])
 
 
 class PhantomError(ValueError):
     pass
+
+
+class PhantomFormatError(PhantomError, binio.FormatError):
+    """A corrupt or truncated PHN1 file."""
 
 
 @dataclass(frozen=True)
@@ -256,6 +263,8 @@ def _offset_streamline(pts, tans, radius_frac, angle, rng_jitter, radius):
 
 def generate_phantom(spec):
     """Build a deterministic Phantom (SH field, peaks, masks, ground truth)."""
+    from scipy.spatial import cKDTree  # slow to import; only the phantom stage needs it
+
     rng = np.random.default_rng(spec.rng_seed)
     grid = spec.grid
     dims = grid.dims
@@ -320,58 +329,32 @@ def generate_phantom(spec):
 
 def save_phantom(phantom, path):
     """Write the PHN1 binary layout (little-endian, C voxel order)."""
-    dims = phantom.grid.dims
-    n = dims[0] * dims[1] * dims[2]
     with open(path, "wb") as f:
         f.write(PHN_MAGIC)
-        f.write(struct.pack("<3I", *dims))
-        f.write(struct.pack("<f", phantom.grid.voxel_size))
-        f.write(struct.pack("<I", len(phantom.masks)))
-        f.write(phantom.sh.astype("<f4").reshape(n, N_SH).tobytes())
-        counts = phantom.peak_counts.reshape(n)
-        dirs = phantom.peak_dirs.astype("<f4").reshape(n, MAX_PEAKS * 3)
-        block = np.zeros((n, 1 + MAX_PEAKS * 3 * 4), dtype=np.uint8)
-        block[:, 0] = counts
-        block[:, 1:] = dirs.view(np.uint8).reshape(n, -1)
-        f.write(block.tobytes())
+        f.write(struct.pack("<3IfI", *phantom.grid.dims, phantom.grid.voxel_size,
+                            len(phantom.masks)))
+        f.write(phantom.sh.astype("<f4").tobytes())
+        peaks = np.zeros(phantom.grid.dims, dtype=_PEAK_RECORD)
+        peaks["count"] = phantom.peak_counts
+        peaks["dirs"] = phantom.peak_dirs
+        f.write(peaks.tobytes())
         for mask in phantom.masks:
-            f.write(mask.values.astype(np.uint8).reshape(n).tobytes())
-            nb = mask.bundle_name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
+            f.write(mask.values.astype(np.uint8).tobytes())
+            f.write(binio.pack_str(mask.bundle_name))
 
 
 def load_phantom(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != PHN_MAGIC:
-        raise PhantomError(f"bad phantom magic in {path}: {raw[:4]!r}")
-    off = 4
-    dims = struct.unpack_from("<3I", raw, off)
-    off += 12
-    (voxel_size,) = struct.unpack_from("<f", raw, off)
-    off += 4
-    (n_bundles,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    n = dims[0] * dims[1] * dims[2]
-    sh = np.frombuffer(raw, dtype="<f4", count=n * N_SH, offset=off).reshape(dims + (N_SH,)).copy()
-    off += 4 * n * N_SH
-    stride = 1 + MAX_PEAKS * 3 * 4
-    block = np.frombuffer(raw, dtype=np.uint8, count=n * stride, offset=off).reshape(n, stride)
-    off += n * stride
-    counts = block[:, 0].reshape(dims).copy()
-    dirs = block[:, 1:].copy().view("<f4").reshape(dims + (MAX_PEAKS, 3))
-    masks = []
-    for _ in range(n_bundles):
-        mvals = np.frombuffer(raw, dtype=np.uint8, count=n, offset=off).reshape(dims).copy()
-        off += n
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        masks.append(TractMask(bundle_name=name, values=mvals))
-    if off != len(raw):
-        raise PhantomError(f"trailing bytes in phantom file at offset {off}")
-    grid = VoxelGrid(dims=dims, voxel_size=float(voxel_size))
-    return Phantom(grid=grid, sh=sh, peak_counts=counts, peak_dirs=dirs.astype(np.float32),
-                   masks=masks, bundles={})
+    r = binio.Reader(path, PHN_MAGIC, PhantomFormatError)
+    *dims, voxel_size, n_bundles = r.unpack("3IfI", "header")
+    dims = tuple(dims)
+    sh = r.array("<f4", dims + (N_SH,), "SH coefficients")
+    peaks = r.array(_PEAK_RECORD, dims, "peak table")
+    masks = [(r.array(np.uint8, dims, "mask"), r.string("bundle name")) for _ in range(n_bundles)]
+    r.end()
+    try:
+        grid = VoxelGrid(dims=dims, voxel_size=float(voxel_size))
+        masks = [TractMask(bundle_name=name, values=values) for values, name in masks]
+    except PhantomError as e:
+        raise PhantomFormatError(f"{e} in {path}") from e
+    return Phantom(grid=grid, sh=sh, peak_counts=peaks["count"].copy(),
+                   peak_dirs=peaks["dirs"].astype(np.float32), masks=masks, bundles={})

@@ -7,10 +7,11 @@ import os
 import numpy as np
 import pytest
 
-from tractfuse import agents, cli, pipeline
+from tractfuse import agents, cli, eds, pipeline
 from tractfuse.config import (DEFAULTS, ConfigError, parse_config_text,
                               resolve_config)
 from tractfuse.eds import EdsError
+from tractfuse.env import STATE_DIM
 
 
 # -- config -------------------------------------------------------------------
@@ -217,6 +218,24 @@ def test_cli_truncated_checkpoint_exit_1(tmp_path, cfg_file, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert str(ckp) in err and "internal error" not in err
+
+
+def test_cli_truncated_dataset_exit_1(tmp_path, cfg_file, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    data = out / "eds_pretrain.eds"
+    rewards = np.ones(2, dtype=np.float32)
+    rec = eds.TrajectoryRecord(states=np.zeros((2, STATE_DIM), dtype=np.float32),
+                               actions=np.zeros((2, 3), dtype=np.float32), rewards=rewards,
+                               rtg=eds.compute_rtg(rewards), policy_id="sac",
+                               streamline=np.zeros((3, 3), dtype=np.float32),
+                               bundle_name="bundle")
+    eds.save_records([rec], data)
+    data.write_bytes(data.read_bytes()[:-10])
+    rc = cli.main(["--preset", "desk", "--config", str(cfg_file), "--out", str(out), "pretrain"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(data) in err and "internal error" not in err
 
 
 def test_report_without_scores_exit_1(tmp_path, capsys):
