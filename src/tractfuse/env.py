@@ -195,8 +195,9 @@ class BatchTracker:
         done_angle = act & self.has_prev & (cos_ang < self._cos_limit)
 
         new_pos = self.pos + self.config.step_size * a
-        mask_val = sample_field(self.mask, new_pos)
-        done_mask = act & ~done_angle & (mask_val < 0.5)
+        left = np.zeros(self.n, dtype=bool)
+        left[act] = sample_field(self.mask, new_pos[act]) < 0.5
+        done_mask = act & ~done_angle & left
 
         new_steps = self.steps + act.astype(np.int64)
         done_steps = act & ~done_angle & ~done_mask & (new_steps >= self.config.max_steps)
@@ -221,14 +222,18 @@ class BatchTracker:
 
         Each step calls `act(states)` on the full batch, steps, and then
         `observe(live, states, actions, rewards, done, next_states)`, where
-        `live` indexes the rows that were active before the step.
+        `live` indexes the rows that were active before the step. Only those
+        rows' states are rebuilt: a finished row's position and history no
+        longer change, so its state stays the same.
         """
         states = self.reset(seeds, hints)
         while self.active.any():
             live = np.nonzero(self.active)[0]
             actions = act(states)
             rewards, done, _ = self.step(actions)
-            next_states = self.states()
+            next_states = states.copy()
+            next_states[live] = build_states(self.phantom, self.mask, self.pos[live],
+                                             self.history[live], self.config.neighbor_offset)
             if observe is not None:
                 observe(live, states, actions, rewards, done, next_states)
             states = next_states

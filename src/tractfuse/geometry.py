@@ -90,7 +90,12 @@ def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
 def min_mdf_to_refs(streamline, refs, voxel_size=1.0, k=MDF_POINTS):
     """Minimum MDF (mm) from a streamline to a list of resampled references."""
     s = resample(streamline, k)
-    return min(mdf(s, r, voxel_size) for r in refs)
+    r = np.stack([np.asarray(ref, dtype=np.float64) for ref in refs])
+    if r.shape[1:] != s.shape:
+        raise GeometryError(f"mdf needs equal point counts, got {s.shape} vs {r.shape[1:]}")
+    direct = np.linalg.norm(s - r, axis=2).mean(axis=1)
+    flipped = np.linalg.norm(s - r[:, ::-1], axis=2).mean(axis=1)
+    return np.minimum(direct, flipped).min() * voxel_size
 
 
 # -- STL1 serialization -------------------------------------------------------

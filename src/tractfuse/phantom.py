@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import sph_harm_y
 
 from . import binio
 
@@ -122,6 +121,8 @@ def sh_basis(dirs):
 
     dirs: (..., 3). Returns (..., 45), ordered by l then m from -l to l.
     """
+    from scipy.special import sph_harm_y  # slow to import; only phantom building needs it
+
     dirs = np.asarray(dirs, dtype=np.float64)
     x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
     theta = np.arccos(np.clip(z, -1.0, 1.0))
@@ -167,27 +168,40 @@ def sample_field(values, positions):
     """Trilinear interpolation at voxel-space positions, zero outside the grid.
 
     values: (X,Y,Z) or (X,Y,Z,C); positions: (...,3). Integer coordinates are
-    voxel centers.
+    voxel centers. A corner outside the grid weighs zero, so a position half
+    outside blends the in-grid corners with zero.
     """
     values = np.asarray(values)
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     squeeze = np.asarray(positions).ndim == 1
-    dims = np.asarray(values.shape[:3])
+    dims = values.shape[:3]
     scalar = values.ndim == 3
-    vals = values[..., None] if scalar else values
-    nc = vals.shape[3]
+    flat = values.reshape(dims[0] * dims[1] * dims[2], -1)
+    nc = flat.shape[1]
 
     base = np.floor(pos).astype(np.int64)
     frac = pos - base
+    # Per axis: clipped flat-index term and in-grid-folded weight of the low
+    # and high corner.
+    strides = (dims[1] * dims[2], dims[2], 1)
+    terms, weights = [], []
+    for ax in range(3):
+        b, f, d = base[..., ax], frac[..., ax], dims[ax]
+        terms.append((np.clip(b, 0, d - 1) * strides[ax],
+                      np.clip(b + 1, 0, d - 1) * strides[ax]))
+        weights.append(((1.0 - f) * ((b >= 0) & (b < d)),
+                        f * ((b >= -1) & (b < d - 1))))
+
     out = np.zeros(pos.shape[:-1] + (nc,), dtype=np.float64)
+    g = np.empty(out.shape, dtype=flat.dtype)
+    tmp = np.empty_like(out)
     for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = base + off
-        inb = np.all((idx >= 0) & (idx < dims), axis=-1)
-        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=-1)
-        cidx = np.clip(idx, 0, dims - 1)
-        contrib = vals[cidx[..., 0], cidx[..., 1], cidx[..., 2]].astype(np.float64)
-        out += (w * inb)[..., None] * contrib
+        ox, oy, oz = (corner >> 2) & 1, (corner >> 1) & 1, corner & 1
+        idx = terms[0][ox] + terms[1][oy] + terms[2][oz]
+        w = weights[0][ox] * weights[1][oy] * weights[2][oz]
+        np.take(flat, idx, axis=0, out=g, mode="clip")
+        np.multiply(w[..., None], g, out=tmp)
+        out += tmp
     if scalar:
         out = out[..., 0]
     return out[0] if squeeze else out
@@ -351,6 +365,11 @@ def load_phantom(path):
     peaks = r.array(_PEAK_RECORD, dims, "peak table")
     masks = [(r.array(np.uint8, dims, "mask"), r.string("bundle name")) for _ in range(n_bundles)]
     r.end()
+    too_many = peaks["count"] > MAX_PEAKS
+    if too_many.any():
+        voxel = tuple(int(i) for i in np.argwhere(too_many)[0])
+        raise PhantomFormatError(f"voxel {voxel} has {peaks['count'][voxel]} peaks, more than "
+                                 f"{MAX_PEAKS}, in {path}")
     try:
         grid = VoxelGrid(dims=dims, voxel_size=float(voxel_size))
         masks = [TractMask(bundle_name=name, values=values) for values, name in masks]

@@ -154,6 +154,14 @@ def test_phn_empty_mask_is_named(tmp_path):
         phantom.load_phantom(path)
 
 
+def test_phn_peak_count_above_max_is_named(tmp_path):
+    first_count = 4 + 20 + 8 * 8 * 8 * phantom.N_SH * 4  # magic, header, SH block
+    path = patched(tmp_path, "PHN1", first_count, 200)
+    with pytest.raises(phantom.PhantomFormatError,
+                       match=rf"voxel \(0, 0, 0\) has 200 peaks.* in {re.escape(str(path))}"):
+        phantom.load_phantom(path)
+
+
 def test_bad_utf8_name_is_named(tmp_path):
     path = patched(tmp_path, "CKP1", 10, 0xFF)  # first byte of the first tensor name
     with pytest.raises(nn.CheckpointError, match=f"not UTF-8 in {re.escape(str(path))}"):

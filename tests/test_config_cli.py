@@ -3,6 +3,9 @@ override, manifests, provenance verification)."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,19 @@ from tractfuse.config import (DEFAULTS, ConfigError, parse_config_text,
                               resolve_config)
 from tractfuse.eds import EdsError
 from tractfuse.env import STATE_DIM
+
+
+# -- start-up -----------------------------------------------------------------
+
+def test_stage_imports_leave_slow_scipy_modules_unloaded():
+    """Only phantom building needs scipy.special and scipy.spatial, so a stage
+    process that merely imports the CLI and pipeline must not load them."""
+    code = ("import sys, tractfuse.cli, tractfuse.pipeline; "
+            "print([m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -- config -------------------------------------------------------------------

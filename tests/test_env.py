@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from tractfuse import agents, eds, trackeval
 from tractfuse.env import (EnvConfig, EnvError, REASON_LEFT_MASK,
                            REASON_MAX_STEPS, REASON_NONE, REASON_SHARP_ANGLE,
-                           STATE_DIM, BatchTracker, TrackingEnv, reward)
+                           STATE_DIM, BatchTracker, TrackingEnv, build_states,
+                           reward)
 from tractfuse.phantom import sample_field
 
 RNG = np.random.default_rng(21)
@@ -260,6 +261,35 @@ def test_run_observes_rows_active_before_each_step(tube_phantom, env_cfg):
     assert len(set(tracker.steps)) > 1  # rows finish at different steps
     assert sum(len(live) for live in observed) == tracker.steps.sum()
     assert not tracker.active.any()
+
+
+def test_run_states_match_full_batch_build(tube_phantom, env_cfg):
+    """`run` rebuilds only live rows, yet every state it hands to `act` and
+    `observe` is bit-equal to `build_states` over the full batch, the rows of
+    finished episodes included."""
+    mask = np.argwhere(tube_phantom.mask_for("tube").values > 0)
+    seeds = mask[[0, len(mask) // 3, len(mask) // 2, len(mask) - 1]].astype(np.float64)
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    acted, finished_rows_seen = [], 0
+
+    def full_batch():
+        return build_states(tube_phantom, tracker.mask, tracker.pos, tracker.history,
+                            env_cfg.neighbor_offset)
+
+    def act(states):
+        acted.append(full_batch())
+        assert states.tobytes() == acted[-1].tobytes()
+        return np.tile(unit([1.0, 0.1, 0.0]), (len(seeds), 1))
+
+    def observe(live, states, actions, rewards, done, next_states):
+        nonlocal finished_rows_seen
+        assert states.tobytes() == acted[-1].tobytes()
+        assert next_states.tobytes() == full_batch().tobytes()
+        finished_rows_seen += len(seeds) - len(live)
+
+    tracker.run(seeds, None, act, observe)
+    assert len(set(tracker.steps)) > 1  # rows finish at different steps
+    assert finished_rows_seen > 0
 
 
 # -- seeders ------------------------------------------------------------------

@@ -140,6 +140,60 @@ def test_sample_field_channels():
     np.testing.assert_allclose(out[0], expect, rtol=1e-12)
 
 
+# Per-corner reference loop: the one-take kernel must give the same bits,
+# including for corners outside the grid, which weigh zero.
+
+def _ref_sample_field(values, positions):
+    values = np.asarray(values)
+    pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+    squeeze = np.asarray(positions).ndim == 1
+    dims = np.asarray(values.shape[:3])
+    scalar = values.ndim == 3
+    vals = values[..., None] if scalar else values
+    base = np.floor(pos).astype(np.int64)
+    frac = pos - base
+    out = np.zeros(pos.shape[:-1] + (vals.shape[3],), dtype=np.float64)
+    for corner in range(8):
+        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
+        idx = base + off
+        inb = np.all((idx >= 0) & (idx < dims), axis=-1)
+        w = np.prod(np.where(off == 1, frac, 1.0 - frac), axis=-1)
+        cidx = np.clip(idx, 0, dims - 1)
+        contrib = vals[cidx[..., 0], cidx[..., 1], cidx[..., 2]].astype(np.float64)
+        out += (w * inb)[..., None] * contrib
+    if scalar:
+        out = out[..., 0]
+    return out[0] if squeeze else out
+
+
+VOLUMES = {
+    "mask_uint8": lambda rng, dims: (rng.random(dims) < 0.5).astype(np.uint8),
+    "scalar_float64": lambda rng, dims: rng.normal(size=dims),
+    "sh_float32": lambda rng, dims: rng.normal(size=dims + (ph.N_SH,)).astype(np.float32),
+}
+
+
+def _coordinate(d):
+    return st.one_of(
+        st.integers(-2, d + 1).map(float),           # voxel centers, grid faces, just outside
+        st.floats(-1.0, float(d), allow_nan=False),  # inside and half outside
+        st.floats(-1e6, 1e6, allow_nan=False))       # far outside
+
+
+@pytest.mark.parametrize("volume", VOLUMES)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_sample_field_matches_per_corner_loop(volume, seed, data):
+    dims = data.draw(st.tuples(*[st.integers(1, 5)] * 3), label="dims")
+    values = VOLUMES[volume](np.random.default_rng(seed), dims)
+    point = st.tuples(*(_coordinate(d) for d in dims))
+    points = np.array(data.draw(st.lists(point, min_size=1, max_size=16), label="points"))
+    for pos in (points, points[0]):
+        got, want = sample_field(values, pos), _ref_sample_field(values, pos)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # -- phantom generation -------------------------------------------------------
 
 def test_straight_tube_structure(tube_phantom):
