@@ -118,18 +118,21 @@ class PolicyBundle:
     def _clone_mlp(mlp):
         out = nn.Mlp(mlp.n_in, mlp.n_out, hidden=mlp.hidden, rng=np.random.default_rng(0))
         for dst, src in zip(out.layers, mlp.layers):
-            dst.w.data = src.w.data.copy()
-            dst.b.data = src.b.data.copy()
+            dst.w.data[...] = src.w.data
+            dst.b.data[...] = src.b.data
         return out
 
     def soft_update(self, tau=None):
+        """Polyak-average every target array in place:
+        `dst = (1 - tau)*dst + tau*src`."""
         tau = self.hyper.tau if tau is None else tau
         pairs = list(zip(self.target_actor.layers, self.actor.layers))
         for tc, c in zip(self.target_critics, self.critics):
             pairs.extend(zip(tc.layers, c.layers))
         for dst, src in pairs:
-            dst.w.data = (1 - tau) * dst.w.data + tau * src.w.data
-            dst.b.data = (1 - tau) * dst.b.data + tau * src.b.data
+            for d, s in ((dst.w.data, src.w.data), (dst.b.data, src.b.data)):
+                np.multiply(1 - tau, d, out=d)
+                np.add(d, tau * s, out=d)
 
     # -- action selection -----------------------------------------------------
 
@@ -138,17 +141,16 @@ class PolicyBundle:
         states = np.atleast_2d(np.asarray(states, dtype=np.float32))
         if states.shape[1] != STATE_DIM:
             raise ValueError(f"expected state width {STATE_DIM}, got {states.shape[1]}")
-        mean = np.tanh(_mlp_forward_np(self.actor, states))
+        raw = _mlp_forward_np(self.actor, states)
         if mode == "deterministic":
-            return mean
+            return np.tanh(raw)
         if rng is None:
             raise ValueError("explore mode needs an rng")
         if self.algo == "sac":
-            raw = _mlp_forward_np(self.actor, states)
             std = np.exp(self.log_std.data)
             return np.tanh(raw + std * rng.standard_normal(raw.shape))
-        noise = rng.normal(0.0, self.hyper.sigma, size=mean.shape)
-        return np.clip(mean + noise, -1.0, 1.0)
+        noise = rng.normal(0.0, self.hyper.sigma, size=raw.shape)
+        return np.clip(np.tanh(raw) + noise, -1.0, 1.0)
 
     def q_value(self, states, actions):
         """Min over critics of Q(s, a); conservative twin-critic estimate."""

@@ -158,8 +158,8 @@ class BatchTracker:
         return build_states(self.phantom, self.mask, self.pos, self.history,
                             self.config.neighbor_offset)
 
-    def _peak_alignment(self, actions):
-        idx = np.clip(np.rint(self.pos).astype(int), 0,
+    def _peak_alignment(self, pos, actions):
+        idx = np.clip(np.rint(pos).astype(int), 0,
                       np.asarray(self.phantom.grid.dims) - 1)
         counts = self.phantom.peak_counts[idx[:, 0], idx[:, 1], idx[:, 2]]
         dirs = self.phantom.peak_dirs[idx[:, 0], idx[:, 1], idx[:, 2]]
@@ -173,48 +173,46 @@ class BatchTracker:
         """Advance every active episode one step.
 
         Returns (rewards, done, reasons) over the full batch; inactive
-        episodes report reward 0 and keep their terminal reason.
+        episodes report reward 0 and keep their terminal reason. Only the
+        active rows are computed: a finished row's action is never read.
         """
         if not self.active.any():
             raise EnvError("step on a batch with no active episodes")
-        acts = np.asarray(actions, dtype=np.float64)
-        if not np.isfinite(acts[self.active]).all():
+        live = np.nonzero(self.active)[0]
+        acts = np.asarray(actions, dtype=np.float64)[live]
+        if not np.isfinite(acts).all():
             raise EnvError("non-finite action on an active episode")
         norms = np.linalg.norm(acts, axis=1, keepdims=True)
-        if np.any(norms[self.active] == 0):
+        if np.any(norms == 0):
             raise EnvError("zero-norm action has no direction")
-        a = np.divide(acts, norms, out=np.zeros_like(acts), where=norms > 0)
+        a = acts / norms
 
-        act = self.active
+        has_prev = self.has_prev[live]
+        cos_ang = np.einsum("nj,nj->n", a, self.prev_dir[live])
         rewards = np.zeros(self.n)
-        align = self._peak_alignment(a)
-        u_factor = np.where(self.has_prev, np.einsum("nj,nj->n", a, self.prev_dir), 1.0)
-        rewards[act] = (align * u_factor)[act]
+        rewards[live] = self._peak_alignment(self.pos[live], a) * np.where(has_prev, cos_ang, 1.0)
 
-        cos_ang = np.einsum("nj,nj->n", a, self.prev_dir)
-        done_angle = act & self.has_prev & (cos_ang < self._cos_limit)
+        done_angle = has_prev & (cos_ang < self._cos_limit)
+        new_pos = self.pos[live] + self.config.step_size * a
+        done_mask = ~done_angle & (sample_field(self.mask, new_pos) < 0.5)
+        new_steps = self.steps[live] + 1
+        done_steps = ~done_angle & ~done_mask & (new_steps >= self.config.max_steps)
 
-        new_pos = self.pos + self.config.step_size * a
-        left = np.zeros(self.n, dtype=bool)
-        left[act] = sample_field(self.mask, new_pos[act]) < 0.5
-        done_mask = act & ~done_angle & left
+        self.pos[live] = new_pos
+        self.steps[live] = new_steps
+        self.points[live, new_steps] = new_pos.astype(np.float32)
+        self.history[live] = np.roll(self.history[live], 1, axis=1)
+        self.history[live, 0] = a
+        self.prev_dir[live] = a
+        self.has_prev[live] = True
 
-        new_steps = self.steps + act.astype(np.int64)
-        done_steps = act & ~done_angle & ~done_mask & (new_steps >= self.config.max_steps)
-
-        self.pos[act] = new_pos[act]
-        self.steps = new_steps
-        self.points[act, new_steps[act]] = new_pos[act].astype(np.float32)
-        self.history[act] = np.roll(self.history[act], 1, axis=1)
-        self.history[act, 0] = a[act]
-        self.prev_dir[act] = a[act]
-        self.has_prev |= act
-
-        self.reasons[done_angle] = REASON_SHARP_ANGLE
-        self.reasons[done_mask] = REASON_LEFT_MASK
-        self.reasons[done_steps] = REASON_MAX_STEPS
-        done = done_angle | done_mask | done_steps
-        self.active = act & ~done
+        self.reasons[live[done_angle]] = REASON_SHARP_ANGLE
+        self.reasons[live[done_mask]] = REASON_LEFT_MASK
+        self.reasons[live[done_steps]] = REASON_MAX_STEPS
+        ended = live[done_angle | done_mask | done_steps]
+        self.active[ended] = False
+        done = np.zeros(self.n, dtype=bool)
+        done[ended] = True
         return rewards, done, self.reasons.copy()
 
     def run(self, seeds, hints, act, observe=None):

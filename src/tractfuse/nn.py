@@ -3,6 +3,11 @@
 Built on the autodiff tape in `autodiff`. Architectures follow the fixed
 shapes used by the pipeline: 3-hidden-layer ReLU MLPs for actors/critics
 and a 4-block single-head causal transformer for the fusion policy.
+
+An `AdamW` owns the storage of the parameters it trains: their `data` are
+views into its flat buffer. Anything that writes a parameter (the optimizer,
+`assign_params`, target-net soft updates) writes `p.data` in place; rebinding
+`p.data` detaches the parameter from its optimizer.
 """
 
 from __future__ import annotations
@@ -183,8 +188,20 @@ class GptBlockStack:
         return out
 
 
+class StaleParameterError(RuntimeError):
+    """A parameter's `data` was rebound after its optimizer took over its
+    storage, so a step would train a copy nobody reads."""
+
+
 class AdamW:
-    """AdamW with bias correction and a linear warmup ramp to a flat lr."""
+    """AdamW with bias correction and a linear warmup ramp to a flat lr.
+
+    The optimizer owns its parameters' storage. `__init__` copies them into
+    one flat buffer of their shared dtype and rebinds each `p.data` to a view
+    of its segment, so `step` updates every parameter in one in-place pass.
+    Write a parameter in place (`p.data[...] = x`) and never rebind
+    `p.data`: `step` raises `StaleParameterError` for a rebound parameter.
+    """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=0.0, warmup=0):
@@ -195,8 +212,22 @@ class AdamW:
         self.weight_decay = weight_decay
         self.warmup = warmup
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        dtypes = {p.data.dtype for p in self.params.values()}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float32
+        self.flat = np.empty(sum(p.data.size for p in self.params.values()), dtype=dtype)
+        self.segments, offset = {}, 0
+        for name, p in self.params.items():
+            seg = self.segments[name] = slice(offset, offset + p.data.size)
+            offset = seg.stop
+            view = self.flat[seg].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
 
     def effective_lr(self):
         if self.warmup > 0:
@@ -204,26 +235,54 @@ class AdamW:
         return self.lr
 
     def step(self):
+        with_grad = []
         for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise ValueError(f"non-finite gradient for parameter '{name}'; step rejected")
+            if p.data.base is not self.flat:
+                raise StaleParameterError(
+                    f"parameter '{name}' was rebound after AdamW took over its storage; "
+                    "write p.data in place")
+            if p.grad is not None:
+                grad = self._grad[self.segments[name]].reshape(p.data.shape)
+                np.copyto(grad, p.grad, casting="unsafe")
+                with_grad.append(name)
+        # one pass over the whole buffer, or one per segment when some
+        # parameters have no gradient and must keep their m, v and data
+        segs = [slice(None)] if len(with_grad) == len(self.params) \
+            else [self.segments[name] for name in with_grad]
+        if not all(np.isfinite(self._grad[seg]).all() for seg in segs):
+            name = next(k for k in with_grad
+                        if not np.isfinite(self._grad[self.segments[k]]).all())
+            raise ValueError(f"non-finite gradient for parameter '{name}'; step rejected")
         lr_eff = self.effective_lr()
         self.step_count += 1
+        for seg in segs:
+            self._update(seg, lr_eff)
+
+    def _update(self, seg, lr_eff):
+        """One AdamW step on `flat[seg]`. Each ufunc keeps the operand order
+        and the Python-float scalars of the formula in its comment, so the
+        bits equal those of the same formula evaluated per parameter."""
         b1, b2 = self.betas
         t = self.step_count
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            g = g.astype(p.data.dtype)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** t)
-            vhat = self.v[name] / (1 - b2 ** t)
-            upd = mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay:
-                upd = upd + self.weight_decay * p.data
-            p.data = (p.data - lr_eff * upd).astype(p.data.dtype)
+        x, g, m, v, s1 = (a[seg] for a in (self.flat, self._grad, self.m, self.v, self._scratch))
+        np.multiply(b1, m, out=m)
+        np.multiply(1 - b1, g, out=s1)
+        np.add(m, s1, out=m)                     # m = b1*m + (1-b1)*g
+        np.multiply(b2, v, out=v)
+        np.multiply(1 - b2, g, out=s1)
+        np.multiply(s1, g, out=s1)
+        np.add(v, s1, out=v)                     # v = b2*v + (1-b2)*g*g
+        s2 = g                                   # g is not read again: reuse it
+        np.divide(m, 1 - b1 ** t, out=s1)        # mhat
+        np.divide(v, 1 - b2 ** t, out=s2)        # vhat
+        np.sqrt(s2, out=s2)
+        np.add(s2, self.eps, out=s2)
+        np.divide(s1, s2, out=s1)                # upd = mhat / (sqrt(vhat) + eps)
+        if self.weight_decay:
+            np.multiply(self.weight_decay, x, out=s2)
+            np.add(s1, s2, out=s1)               # upd + wd*x
+        np.multiply(lr_eff, s1, out=s1)
+        np.subtract(x, s1, out=x)                # x - lr_eff*upd
 
     def zero_grad(self):
         for p in self.params.values():
@@ -271,7 +330,8 @@ def load_checkpoint(path):
 
 
 def assign_params(params, tensors, prefix=""):
-    """Load checkpoint arrays into a params dict in place."""
+    """Load checkpoint arrays into a params dict, writing each `p.data` in
+    place so optimizer-owned storage stays shared."""
     for name, p in params.items():
         key = prefix + name
         if key not in tensors:
@@ -279,4 +339,4 @@ def assign_params(params, tensors, prefix=""):
         arr = tensors[key]
         if arr.shape != p.data.shape:
             raise ValueError(f"shape mismatch for '{key}': {arr.shape} vs {p.data.shape}")
-        p.data = arr.astype(p.data.dtype)
+        p.data[...] = arr

@@ -94,6 +94,61 @@ def test_soft_update_tau_one_copies():
             np.testing.assert_allclose(lt.w.data, lc.w.data, rtol=1e-6)
 
 
+@pytest.mark.parametrize("algo", agents.ALGOS)
+def test_soft_update_in_place_bit_equal(algo):
+    """Every target array is lerped in place, to the bits of
+    `(1 - tau)*dst + tau*src`."""
+    p = PolicyBundle(algo, hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9, tau=0.3),
+                     hidden=8, seed=5)
+    rng = np.random.default_rng(6)
+    pairs = [(p.target_actor.params(), p.actor.params())]
+    pairs += [(tc.params(), c.params()) for tc, c in zip(p.target_critics, p.critics)]
+    targets, expect = [], []
+    for dst, src in pairs:
+        for k in dst:
+            src[k].data += rng.normal(size=src[k].shape).astype(np.float32)
+            targets.append(dst[k].data)
+            expect.append((1 - 0.3) * dst[k].data + 0.3 * src[k].data)
+    p.soft_update()
+    got = [t.data for dst, _ in pairs for t in dst.values()]
+    assert all(g is t for g, t in zip(got, targets))  # written in place
+    for g, e in zip(got, expect):
+        assert g.dtype == np.float32 and g.tobytes() == e.tobytes()
+
+
+def _act_two_forwards(p, s, mode, rng):
+    """`PolicyBundle.act` as it was, with a second actor forward for SAC."""
+    mean = np.tanh(agents._mlp_forward_np(p.actor, s))
+    if mode == "deterministic":
+        return mean
+    if p.algo == "sac":
+        raw = agents._mlp_forward_np(p.actor, s)
+        return np.tanh(raw + np.exp(p.log_std.data) * rng.standard_normal(raw.shape))
+    return np.clip(mean + rng.normal(0.0, p.hyper.sigma, size=mean.shape), -1.0, 1.0)
+
+
+@pytest.mark.parametrize("algo", agents.ALGOS)
+@pytest.mark.parametrize("mode", ["deterministic", "explore"])
+def test_act_one_forward_same_actions(algo, mode, monkeypatch):
+    p = PolicyBundle(algo, hidden=16, seed=7)
+    s = states(9)
+    expect_rng = np.random.default_rng(11)
+    expect = _act_two_forwards(p, s, mode, expect_rng)
+    forwards = []
+    original = agents._mlp_forward_np
+
+    def counting(mlp, x):
+        forwards.append(mlp)
+        return original(mlp, x)
+
+    monkeypatch.setattr(agents, "_mlp_forward_np", counting)
+    rng = np.random.default_rng(11)
+    got = p.act(s, mode=mode, rng=rng)
+    assert forwards == [p.actor]
+    assert got.tobytes() == expect.tobytes()
+    assert rng.bit_generator.state == expect_rng.bit_generator.state
+
+
 # -- log-density of the squashed Gaussian -------------------------------------
 
 def test_sac_log_prob_integrates_to_one():

@@ -292,6 +292,81 @@ def test_run_states_match_full_batch_build(tube_phantom, env_cfg):
     assert finished_rows_seen > 0
 
 
+def full_batch_step(tr, actions):
+    """`BatchTracker.step` as it was before it computed only active rows:
+    alignment, angle test and new positions over the whole batch, then
+    masked to the active rows. Kept as the bit-level reference."""
+    acts = np.asarray(actions, dtype=np.float64)
+    norms = np.linalg.norm(acts, axis=1, keepdims=True)
+    a = np.divide(acts, norms, out=np.zeros_like(acts), where=norms > 0)
+    act = tr.active
+    rewards = np.zeros(tr.n)
+    idx = np.clip(np.rint(tr.pos).astype(int), 0, np.asarray(tr.phantom.grid.dims) - 1)
+    counts = tr.phantom.peak_counts[idx[:, 0], idx[:, 1], idx[:, 2]]
+    dirs = tr.phantom.peak_dirs[idx[:, 0], idx[:, 1], idx[:, 2]]
+    dots = np.abs(np.einsum("nkj,nj->nk", dirs.astype(np.float64), a))
+    dots = np.where(np.arange(dirs.shape[1])[None, :] < counts[:, None], dots, -np.inf)
+    align = np.where(counts > 0, dots.max(axis=1), 0.0)
+    u_factor = np.where(tr.has_prev, np.einsum("nj,nj->n", a, tr.prev_dir), 1.0)
+    rewards[act] = (align * u_factor)[act]
+    cos_ang = np.einsum("nj,nj->n", a, tr.prev_dir)
+    done_angle = act & tr.has_prev & (cos_ang < tr._cos_limit)
+    new_pos = tr.pos + tr.config.step_size * a
+    left = np.zeros(tr.n, dtype=bool)
+    left[act] = sample_field(tr.mask, new_pos[act]) < 0.5
+    done_mask = act & ~done_angle & left
+    new_steps = tr.steps + act.astype(np.int64)
+    done_steps = act & ~done_angle & ~done_mask & (new_steps >= tr.config.max_steps)
+    tr.pos[act] = new_pos[act]
+    tr.steps = new_steps
+    tr.points[act, new_steps[act]] = new_pos[act].astype(np.float32)
+    tr.history[act] = np.roll(tr.history[act], 1, axis=1)
+    tr.history[act, 0] = a[act]
+    tr.prev_dir[act] = a[act]
+    tr.has_prev |= act
+    tr.reasons[done_angle] = REASON_SHARP_ANGLE
+    tr.reasons[done_mask] = REASON_LEFT_MASK
+    tr.reasons[done_steps] = REASON_MAX_STEPS
+    done = done_angle | done_mask | done_steps
+    tr.active = act & ~done
+    return rewards, done, tr.reasons.copy()
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       wobble=st.sampled_from([0.05, 0.6, 2.0]), max_steps=st.sampled_from([6, 40]))
+def test_step_live_rows_match_full_batch_step(crossing_phantom, seed, n, wobble, max_steps):
+    """Stepping only the active rows gives the bits of the full-batch step:
+    rewards, done, reasons, positions, history and points, on batches whose
+    rows end for every reason and whose finished rows get arbitrary actions
+    (zero vectors included)."""
+    rng = np.random.default_rng(seed)
+    cfg = EnvConfig(step_size=0.5, max_steps=max_steps)
+    mask = crossing_phantom.mask_for("pair_a").values
+    voxels = np.argwhere(mask > 0)
+    seeds = voxels[rng.integers(0, len(voxels), size=n)] + rng.uniform(-0.3, 0.3, size=(n, 3))
+    seeds = seeds[sample_field(mask, seeds) >= 0.5]
+    if len(seeds) == 0:
+        return
+    hints = rng.normal(size=(len(seeds), 3))
+    live, ref = (BatchTracker(crossing_phantom, "pair_a", cfg) for _ in range(2))
+    live.reset(seeds, hints)
+    ref.reset(seeds, hints)
+    finished_rows_stepped = 0
+    while ref.active.any():
+        actions = np.array([1.0, 0.0, 0.0]) + wobble * rng.normal(size=(len(seeds), 3))
+        actions[~ref.active & (rng.random(len(seeds)) < 0.5)] = 0.0
+        finished_rows_stepped += int((~ref.active).sum())
+        got, expect = live.step(actions), full_batch_step(ref, actions)
+        assert got[0].tobytes() == expect[0].tobytes()
+        np.testing.assert_array_equal(got[1], expect[1])
+        assert list(got[2]) == list(expect[2])
+        for attr in ("pos", "history", "points", "prev_dir", "has_prev", "steps", "active"):
+            assert getattr(live, attr).tobytes() == getattr(ref, attr).tobytes(), attr
+    if len(seeds) > 1 and len(set(ref.steps)) > 1:
+        assert finished_rows_stepped > 0
+
+
 # -- seeders ------------------------------------------------------------------
 # Per-seed reference loops: the vectorised seeders must draw the same numbers
 # in the same order, so seeds, hints and the generator state afterwards match.

@@ -159,6 +159,128 @@ def test_adamw_skips_gradless_params():
     np.testing.assert_array_equal(p.data, np.ones(2))
 
 
+class PerParamAdamW:
+    """The per-parameter AdamW step as it was before parameters shared one
+    flat buffer: every array is rebound, nothing is written in place. Kept as
+    the bit-level reference for `nn.AdamW`."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0, warmup=0):
+        self.params = dict(params)
+        self.lr = lr
+        self.betas = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.warmup = warmup
+        self.step_count = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def effective_lr(self):
+        if self.warmup > 0:
+            return self.lr * min(1.0, self.step_count / self.warmup)
+        return self.lr
+
+    def step(self):
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise ValueError(f"non-finite gradient for parameter '{name}'; step rejected")
+        lr_eff = self.effective_lr()
+        self.step_count += 1
+        b1, b2 = self.betas
+        t = self.step_count
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            g = g.astype(p.data.dtype)
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
+            mhat = self.m[name] / (1 - b1 ** t)
+            vhat = self.v[name] / (1 - b2 ** t)
+            upd = mhat / (np.sqrt(vhat) + self.eps)
+            if self.weight_decay:
+                upd = upd + self.weight_decay * p.data
+            p.data = (p.data - lr_eff * upd).astype(p.data.dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), min_size=1, max_size=6),
+       dtype=st.sampled_from([np.float32, np.float64]), wd=st.sampled_from([0.0, 0.01]),
+       warmup=st.sampled_from([0, 3]), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_adamw_flat_step_matches_per_param_step(shapes, dtype, wd, warmup, seed, data):
+    """One in-place pass over the flat buffer gives the bits of the
+    per-parameter step: data, m and v, over several steps, with a random
+    subset of parameters gradless on each step."""
+    rng = np.random.default_rng(seed)
+    init = {f"p{i}": rng.normal(size=shape).astype(dtype) for i, shape in enumerate(shapes)}
+    mine = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
+    ref = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
+    opt = nn.AdamW(mine, lr=0.05, weight_decay=wd, warmup=warmup)
+    ref_opt = PerParamAdamW(ref, lr=0.05, weight_decay=wd, warmup=warmup)
+    for _ in range(data.draw(st.integers(1, 6), label="steps")):
+        gradless = data.draw(st.sets(st.sampled_from(sorted(init))), label="gradless")
+        for k, x in init.items():
+            g = None if k in gradless else \
+                (rng.normal(size=x.shape) * 10.0 ** rng.uniform(-4, 2)).astype(dtype)
+            mine[k].grad, ref[k].grad = g, None if g is None else g.copy()
+        opt.step()
+        ref_opt.step()
+        assert opt.step_count == ref_opt.step_count
+        for k in init:
+            seg = opt.segments[k]
+            assert mine[k].data.dtype == ref[k].data.dtype == dtype
+            assert mine[k].data.tobytes() == ref[k].data.tobytes(), k
+            assert opt.m[seg].tobytes() == ref_opt.m[k].tobytes(), k
+            assert opt.v[seg].tobytes() == ref_opt.v[k].tobytes(), k
+
+
+def test_adamw_owns_param_storage():
+    mlp = nn.Mlp(4, 2, hidden=5, rng=np.random.default_rng(1))
+    before = {k: p.data.copy() for k, p in mlp.params().items()}
+    opt = nn.AdamW(mlp.params(), lr=0.1)
+    assert opt.flat.size == sum(x.size for x in before.values())
+    for k, p in mlp.params().items():
+        assert p.data.base is opt.flat
+        assert p.data.tobytes() == before[k].tobytes()
+
+
+def test_adamw_rejects_mixed_dtypes():
+    p32 = nn.parameter(np.ones(2))
+    p64 = Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(ValueError, match="dtype"):
+        nn.AdamW({"a": p32, "b": p64}, lr=0.1)
+
+
+def test_adamw_rebound_param_is_named():
+    """Rebinding `p.data` detaches it from the buffer; the next step says so
+    instead of training a copy nobody reads."""
+    p, q = nn.parameter(np.ones(3)), nn.parameter(np.zeros(2))
+    opt = nn.AdamW({"p": p, "q": q}, lr=0.1)
+    q.data = q.data.copy()
+    p.grad, q.grad = np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)
+    with pytest.raises(nn.StaleParameterError, match="'q'"):
+        opt.step()
+    assert issubclass(nn.StaleParameterError, RuntimeError)  # the CLI exits 2
+    assert opt.step_count == 0
+
+
+def test_assign_params_keeps_optimizer_views():
+    """Loading into optimizer-owned params writes through the views, so the
+    next step moves the loaded values."""
+    mlp = nn.Mlp(4, 2, hidden=5, rng=np.random.default_rng(2))
+    opt = nn.AdamW(mlp.params(), lr=0.1)
+    loaded = {k: RNG.normal(size=p.shape).astype(np.float32) for k, p in mlp.params().items()}
+    nn.assign_params(mlp.params(), loaded)
+    for k, p in mlp.params().items():
+        assert p.data.base is opt.flat
+        np.testing.assert_array_equal(p.data, loaded[k])
+        p.grad = np.ones(p.shape, dtype=np.float32)
+    opt.step()  # first step with a constant gradient moves every value by lr
+    for k, p in mlp.params().items():
+        np.testing.assert_allclose(p.data, loaded[k] - 0.1, atol=1e-6)
+
+
 # -- checkpoints --------------------------------------------------------------
 
 def test_checkpoint_roundtrip(tmp_path):
