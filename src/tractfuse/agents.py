@@ -8,12 +8,13 @@ a bundle's critics (single critic for DDPG).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, concat, exp, frozen, log, minimum, no_grad, tanh
+from .autodiff import Tensor, concat, exp, frozen, log, minimum, tanh
 from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 
 ACTION_DIM = 3
@@ -56,12 +57,12 @@ class RlSchedule:
 class ReplayBuffer:
     """Fixed-capacity ring buffer of (s, a, r, s', done) transitions."""
 
-    def __init__(self, capacity, state_dim=STATE_DIM, action_dim=ACTION_DIM):
+    def __init__(self, capacity):
         self.capacity = capacity
-        self.s = np.zeros((capacity, state_dim), dtype=np.float32)
-        self.a = np.zeros((capacity, action_dim), dtype=np.float32)
+        self.s = np.zeros((capacity, STATE_DIM), dtype=np.float32)
+        self.a = np.zeros((capacity, ACTION_DIM), dtype=np.float32)
         self.r = np.zeros(capacity, dtype=np.float32)
-        self.s2 = np.zeros((capacity, state_dim), dtype=np.float32)
+        self.s2 = np.zeros((capacity, STATE_DIM), dtype=np.float32)
         self.d = np.zeros(capacity, dtype=np.float32)
         self.idx = 0
         self.size = 0
@@ -304,24 +305,24 @@ def _update_actor(bundle, opt, batch, rng):
     return float(loss.data)
 
 
-def rollout(bundle, tracker, seeds, hints, rng, buffer=None, mode="explore",
-            random_actions=False):
-    """Run a batch of episodes; optionally store transitions. Returns
-    (total_reward, total_steps)."""
-    total_r, total_steps = 0.0, 0
+def uniform_actions(states, rng):
+    """One uniform random action in [-1,1]^3 per state row; a draw too short
+    to have a direction becomes +x."""
+    acts = rng.uniform(-1.0, 1.0, size=(len(states), ACTION_DIM))
+    acts[np.linalg.norm(acts, axis=1) < 1e-6] = [1.0, 0.0, 0.0]
+    return acts
 
-    def act(states):
-        if random_actions:
-            acts = rng.uniform(-1.0, 1.0, size=(tracker.n, ACTION_DIM))
-            acts[np.linalg.norm(acts, axis=1) < 1e-6] = [1.0, 0.0, 0.0]
-            return acts
-        return bundle.act(states, mode=mode, rng=rng)
+
+def rollout(act, tracker, seeds, hints, buffer=None):
+    """Run a batch of episodes with the actor `act(states) -> actions`;
+    optionally store transitions. Returns (total_reward, total_steps)."""
+    total_r, total_steps = 0.0, 0
 
     def observe(live, states, acts, rewards, done, next_states):
         nonlocal total_r, total_steps
         if buffer is not None:
-            buffer.add_batch(states[live], acts[live].astype(np.float32), rewards[live],
-                             next_states[live], done[live].astype(np.float32))
+            buffer.add_batch(states[live], acts[live], rewards[live], next_states[live],
+                             done[live])
         total_r += rewards[live].sum()
         total_steps += len(live)
 
@@ -335,7 +336,7 @@ def random_baseline(phantom, bundle_name, env_cfg, n_episodes=256, seed=0):
     rng = np.random.default_rng(seed)
     tracker = BatchTracker(phantom, bundle_name, env_cfg)
     seeds, hints = sample_seeds(phantom, bundle_name, n_episodes, rng)
-    total_r, total_steps = rollout(None, tracker, seeds, hints, rng, random_actions=True)
+    total_r, total_steps = rollout(partial(uniform_actions, rng=rng), tracker, seeds, hints)
     return total_r / max(total_steps, 1)
 
 
@@ -344,7 +345,7 @@ def policy_mean_step_reward(bundle, phantom, bundle_name, env_cfg, n_episodes=25
     rng = np.random.default_rng(seed)
     tracker = BatchTracker(phantom, bundle_name, env_cfg)
     seeds, hints = sample_seeds(phantom, bundle_name, n_episodes, rng)
-    total_r, total_steps = rollout(bundle, tracker, seeds, hints, rng, mode="deterministic")
+    total_r, total_steps = rollout(bundle.act, tracker, seeds, hints)
     return total_r / max(total_steps, 1)
 
 
@@ -360,12 +361,12 @@ def train_policy(bundle, phantom, bundle_names, env_cfg, schedule, seed=0):
 
     update_count = 0
     for batch_i in range(schedule.batches):
+        act = (partial(uniform_actions, rng=rng) if batch_i == 0
+               else partial(bundle.act, mode="explore", rng=rng))
         batch_r, batch_eps = 0.0, 0
         for b in bundle_names:
-            tracker = trackers[b]
             seeds, hints = sample_seeds(phantom, b, schedule.episodes_per_batch, rng)
-            total_r, _ = rollout(bundle, tracker, seeds, hints, rng, buffer=buffer,
-                                 mode="explore", random_actions=(batch_i == 0))
+            total_r, _ = rollout(act, trackers[b], seeds, hints, buffer=buffer)
             batch_r += total_r
             batch_eps += schedule.episodes_per_batch
         log["batch_mean_episode_reward"].append(batch_r / batch_eps)

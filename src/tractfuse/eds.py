@@ -12,7 +12,6 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -94,7 +93,7 @@ def _track_records(policy, policy_name, phantom, bundle_name, env_cfg, seeds, hi
         a_buf[live, t] = unit[live]
         r_buf[live, t] = rewards[live]
 
-    tracker.run(seeds, hints, partial(policy.act, mode="deterministic"), observe)
+    tracker.run(seeds, hints, policy.act, observe)
     streamlines = tracker.streamlines()
     records = []
     for i in range(n):
@@ -148,6 +147,15 @@ def trajectory_q_score(policy, record):
     return float(policy.q_value(record.states, record.actions).mean())
 
 
+def min_max_normalize(x):
+    """`(x - min) / (max - min)` in x's dtype; a constant batch (range below
+    1e-12) maps to 0.5 everywhere."""
+    lo, hi = x.min(), x.max()
+    if hi - lo < 1e-12:
+        return np.full_like(x, 0.5)
+    return (x - lo) / (hi - lo)
+
+
 def across_policy_select(records_by_policy, policies):
     """Pick one policy per harvest batch by max mean min-max-normalized Q.
 
@@ -160,12 +168,7 @@ def across_policy_select(records_by_policy, policies):
         if not recs:
             continue
         raw = np.array([trajectory_q_score(policies[name], r) for r in recs])
-        lo, hi = raw.min(), raw.max()
-        if hi - lo < 1e-12:
-            normed = np.full_like(raw, 0.5)  # degenerate constant-Q batch
-        else:
-            normed = (raw - lo) / (hi - lo)
-        mean_scores[name] = normed.mean()
+        mean_scores[name] = min_max_normalize(raw).mean()
     if not mean_scores:
         warnings.warn("across-policy selection: no policy has surviving records")
         return [], None

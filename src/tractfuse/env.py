@@ -8,9 +8,10 @@ and the interpolated mask value at the same 7 positions (7).
 `BatchTracker` steps many episodes in lockstep with numpy, and
 `BatchTracker.run` is the one episode driver: every rollout (RL training,
 EDS harvesting, whole-bundle tracking, fusion tracking) goes through it.
-Every seeder draws its seeds with `jittered_seeds` and its direction hints
-with `peak_hints`. `TrackingEnv` is the single-episode wrapper around the
-tracker.
+Every actor is a callable `act(states) -> actions`, and every recorded
+transition goes into an `agents.ReplayBuffer`. Every seeder draws its seeds
+with `jittered_seeds` and its direction hints with `peak_hints`.
+`TrackingEnv` is the single-episode wrapper around the tracker.
 """
 
 from __future__ import annotations

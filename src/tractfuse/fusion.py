@@ -9,7 +9,7 @@ rtg_<=t, s_<=t and a_<t but never a_t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,9 +248,9 @@ class FusionTracker:
         self.rtg0 = rtg0
         self.context = model.config.context
 
-    def run(self, seeds, hints=None, record_transitions=False):
-        """Track all seeds to termination; returns streamlines (and optional
-        flat transition arrays for critic updates)."""
+    def run(self, seeds, hints=None, buffer=None):
+        """Track all seeds to termination and return the streamlines; with a
+        `ReplayBuffer`, also store every transition in it."""
         c = self.context
         n = len(seeds)
         r_buf = np.zeros((n, c), dtype=np.float32)
@@ -258,7 +258,6 @@ class FusionTracker:
         a_buf = np.zeros((n, c, ACTION_DIM), dtype=np.float32)
         valid = np.zeros((n, c), dtype=np.float32)
         rtg = np.full(n, self.rtg0, dtype=np.float64)
-        trans = {"s": [], "a": [], "r": [], "s2": [], "d": []} if record_transitions else None
 
         def act(states):
             act_idx = np.nonzero(self.tracker.active)[0]
@@ -283,20 +282,13 @@ class FusionTracker:
 
         def observe(live, states, actions, rewards, done, next_states):
             a_buf[live, -1] = actions[live]
-            if record_transitions:
-                trans["s"].append(states[live])
-                trans["a"].append(actions[live].astype(np.float32))
-                trans["r"].append(rewards[live].astype(np.float32))
-                trans["s2"].append(next_states[live])
-                trans["d"].append(done[live].astype(np.float32))
+            if buffer is not None:
+                buffer.add_batch(states[live], actions[live], rewards[live],
+                                 next_states[live], done[live])
             rtg[live] = np.maximum(rtg[live] - rewards[live], 0.0)
 
         self.tracker.run(seeds, hints, act, observe)
-        streamlines = self.tracker.streamlines()
-        if record_transitions:
-            flat = tuple(np.concatenate(trans[k]) for k in ("s", "a", "r", "s2", "d"))
-            return streamlines, flat
-        return streamlines
+        return self.tracker.streamlines()
 
 
 # -- MCPFT --------------------------------------------------------------------
@@ -362,15 +354,14 @@ def mcpft(model, policies, records, phantom, bundle_name, env_cfg,
                                    rtg0=schedule.rtg0)
             seeds, hints = agents.sample_seeds(phantom, bundle_name,
                                                schedule.rollout_episodes, rng)
-            _, (ts, ta, tr, ts2, td) = runner.run(seeds, hints, record_transitions=True)
+            # room for every step of every episode, so the buffer never wraps
+            buffer = agents.ReplayBuffer(len(seeds) * env_cfg.max_steps)
+            runner.run(seeds, hints, buffer=buffer)
             for name, bundle in policies.items():
                 n_critic = 0
                 for _ in range(schedule.critic_updates_per_iter):
-                    pick = rng.choice(len(tr), size=min(schedule.batch_size, len(tr)),
-                                      replace=False)
                     agents._update_critics(bundle, critic_opts[name],
-                                           (ts[pick], ta[pick], tr[pick],
-                                            ts2[pick], td[pick]), rng)
+                                           buffer.sample(schedule.batch_size, rng), rng)
                     n_critic += 1
                 log["critic_updates"][name].append(n_critic)
         else:

@@ -329,11 +329,10 @@ def load_checkpoint(path):
     return tensors, meta
 
 
-def assign_params(params, tensors, prefix=""):
+def assign_params(params, tensors):
     """Load checkpoint arrays into a params dict, writing each `p.data` in
     place so optimizer-owned storage stays shared."""
-    for name, p in params.items():
-        key = prefix + name
+    for key, p in params.items():
         if key not in tensors:
             raise KeyError(f"checkpoint missing tensor '{key}'")
         arr = tensors[key]

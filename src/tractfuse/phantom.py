@@ -22,6 +22,7 @@ SH_ORDERS = (0, 2, 4, 6, 8)
 N_SH = 45
 MAX_PEAKS = 3
 _MERGE_DOT = 0.985  # peaks closer than ~10 degrees collapse into one
+GT_POINT_SPACING = 0.5  # voxels between ground-truth streamline points
 # One voxel's PHN1 peak entry: u8 count, then MAX_PEAKS x 3 f32 directions.
 _PEAK_RECORD = np.dtype([("count", "u1"), ("dirs", "<f4", (MAX_PEAKS, 3))])
 
@@ -56,10 +57,6 @@ class BundleSpec:
     radius: float = 2.0
     start: tuple = None
     end: tuple = None
-    center: tuple = None
-    arc_radius: float = None
-    pitch: float = 4.0
-    turns: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("straight-tube", "arc", "helix", "crossing-pair"):
@@ -74,7 +71,6 @@ class PhantomSpec:
     bundles: tuple
     rng_seed: int = 0
     n_gt_streamlines: int = 16
-    gt_point_spacing: float = 0.5
 
     def __post_init__(self):
         object.__setattr__(self, "bundles", tuple(self.bundles))
@@ -221,18 +217,18 @@ def _centerline(spec, grid):
         pts = start + t * (end - start)
         tans = np.tile((end - start) / np.linalg.norm(end - start), (n, 1))
     elif spec.kind == "arc":
-        center = np.asarray(spec.center if spec.center is not None else dims / 2)
-        r = spec.arc_radius if spec.arc_radius is not None else min(dims[0], dims[1]) / 2 - margin - 1
+        center = dims / 2
+        r = min(dims[0], dims[1]) / 2 - margin - 1
         ang = np.linspace(0.0, np.pi, max(16, int(np.pi * r * 4)))
         pts = np.stack([center[0] + r * np.cos(ang),
                         center[1] + r * np.sin(ang),
                         np.full_like(ang, center[2])], axis=1)
         tans = np.stack([-np.sin(ang), np.cos(ang), np.zeros_like(ang)], axis=1)
     elif spec.kind == "helix":
-        center = np.asarray(spec.center if spec.center is not None else dims / 2)
-        r = spec.arc_radius if spec.arc_radius is not None else min(dims[0], dims[1]) / 2 - margin - 1
+        center = dims / 2
+        r = min(dims[0], dims[1]) / 2 - margin - 1
         z_span = dims[2] - 2 * margin - 1
-        ang = np.linspace(0.0, 2 * np.pi * spec.turns, max(32, int(8 * z_span)))
+        ang = np.linspace(0.0, 2 * np.pi, max(32, int(8 * z_span)))  # one turn
         z = center[2] - z_span / 2 + z_span * ang / ang[-1]
         pts = np.stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang), z], axis=1)
         dz = z_span / ang[-1]
@@ -254,7 +250,7 @@ def _expand_bundles(spec):
             out.append(b)
             continue
         margin = b.radius + 0.5
-        c = np.asarray(b.center if b.center is not None else dims / 2)
+        c = dims / 2
         out.append(BundleSpec(name=b.name + "_a", kind="straight-tube", radius=b.radius,
                               start=(margin, c[1], c[2]), end=(dims[0] - 1 - margin, c[1], c[2])))
         out.append(BundleSpec(name=b.name + "_b", kind="straight-tube", radius=b.radius,
@@ -315,7 +311,7 @@ def generate_phantom(spec):
 
         # ground-truth streamlines: the centerline plus offset copies
         arc = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
-        n_pts = max(2, int(arc[-1] / spec.gt_point_spacing))
+        n_pts = max(2, int(arc[-1] / GT_POINT_SPACING))
         s = np.linspace(0.0, arc[-1], n_pts)
         line = np.stack([np.interp(s, arc, pts[:, i]) for i in range(3)], axis=1)
         line_t = np.stack([np.interp(s, arc, tans[:, i]) for i in range(3)], axis=1)

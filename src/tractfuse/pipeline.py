@@ -200,7 +200,9 @@ def stage_eds(cfg, outdir):
         outputs.append(path)
     extras = {"pretrain_records": len(datasets.pretrain),
               "finetune_records": {k: len(v) for k, v in datasets.finetune.items()}}
-    inputs = [outdir / "phantom.phn"] + [outdir / f"policy_{a}.ckp" for a in POLICY_ALGOS]
+    inputs = ([outdir / "phantom.phn"]
+              + [outdir / f"gt_{b}.stl" for b in sorted(phantom.bundles)]
+              + [outdir / f"policy_{a}.ckp" for a in POLICY_ALGOS])
     write_manifest(outdir, "eds", cfg, inputs, outputs, extras, time.time() - t0)
     return extras
 

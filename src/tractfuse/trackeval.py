@@ -9,10 +9,10 @@ the reference set, voxelized, and scored with Dice / overlap / overreach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
+from .eds import min_max_normalize
 from .env import BatchTracker, jittered_seeds, peak_hints
 from .fusion import FusionTracker
 from .geometry import MDF_POINTS, min_mdf_to_refs
@@ -48,31 +48,26 @@ class AvgEnsemble:
     def __init__(self, policies):
         self.policies = dict(policies)
 
-    def act(self, states, mode="deterministic", rng=None):
-        acts = np.mean([p.act(states, mode="deterministic") for p in self.policies.values()],
-                       axis=0)
+    def act(self, states):
+        acts = np.mean([p.act(states) for p in self.policies.values()], axis=0)
         norm = np.linalg.norm(acts, axis=1, keepdims=True)
         return np.divide(acts, norm, out=acts.copy(), where=norm > 0)
 
 
 class MaxQEnsemble:
     """Per step, the candidate action with the highest min-max-normalized
-    own-critic Q-value across the three policies (batch-wise normalization,
-    matching the dataset-selection convention)."""
+    own-critic Q-value across the three policies (batch-wise normalization
+    with `eds.min_max_normalize`, as in dataset selection)."""
 
     def __init__(self, policies):
         self.policies = dict(policies)
 
-    def act(self, states, mode="deterministic", rng=None):
+    def act(self, states):
         states = np.atleast_2d(states)
-        names = list(self.policies)
         cands, scores = [], []
-        for name in names:
-            p = self.policies[name]
-            a = p.act(states, mode="deterministic")
-            q = p.q_value(states, a)
-            lo, hi = q.min(), q.max()
-            scores.append(np.full_like(q, 0.5) if hi - lo < 1e-12 else (q - lo) / (hi - lo))
+        for p in self.policies.values():
+            a = p.act(states)
+            scores.append(min_max_normalize(p.q_value(states, a)))
             cands.append(a)
         pick = np.argmax(scores, axis=0)
         out = np.stack(cands, axis=0)[pick, np.arange(states.shape[0])]
@@ -102,10 +97,9 @@ def track_policy(actor, phantom, bundle_name, cfg, env_cfg, seed=0):
     rng = np.random.default_rng(seed)
     seeds, hints = seed_positions(phantom, bundle_name, cfg.seeds_per_voxel, rng)
     tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    act = partial(actor.act, mode="deterministic")
-    tracker.run(seeds, hints, act)
+    tracker.run(seeds, hints, actor.act)
     fwd = tracker.streamlines()
-    tracker.run(seeds, -hints, act)
+    tracker.run(seeds, -hints, actor.act)
     return _merge_bidirectional(fwd, tracker.streamlines())
 
 
@@ -127,9 +121,12 @@ def post_filter(streamlines, refs, threshold_mm, voxel_size=1.0):
             if min_mdf_to_refs(s, refs, voxel_size, k=MDF_POINTS) <= threshold_mm]
 
 
-def voxelize(streamlines, grid, sub_step=0.25):
+VOXELIZE_SUB_STEP = 0.25  # voxels between samples along a segment
+
+
+def voxelize(streamlines, grid):
     """Binary mask of voxels touched by any streamline segment (segments
-    sub-sampled every 0.25 voxel)."""
+    sub-sampled every `VOXELIZE_SUB_STEP` voxel)."""
     mask = np.zeros(grid.dims, dtype=np.uint8)
     dims = np.asarray(grid.dims)
     for s in streamlines:
@@ -137,8 +134,8 @@ def voxelize(streamlines, grid, sub_step=0.25):
         samples = [pts]
         seg = pts[1:] - pts[:-1]
         seg_len = np.linalg.norm(seg, axis=1)
-        for i in np.nonzero(seg_len > sub_step)[0]:
-            n = int(np.ceil(seg_len[i] / sub_step))
+        for i in np.nonzero(seg_len > VOXELIZE_SUB_STEP)[0]:
+            n = int(np.ceil(seg_len[i] / VOXELIZE_SUB_STEP))
             t = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
             samples.append(pts[i] + t * seg[i])
         all_pts = np.concatenate(samples, axis=0)

@@ -2,14 +2,18 @@
 TD targets against hand-built transitions, tanh-Gaussian log-density via
 numerical integration, and checkpoint round-trips."""
 
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import keep_all_on_tape
 from tractfuse import agents, nn
 from tractfuse.agents import (ACTION_DIM, PolicyBundle, ReplayBuffer, RlHyper,
-                              sac_log_prob)
-from tractfuse.env import STATE_DIM
+                              sac_log_prob, uniform_actions)
+from tractfuse.env import STATE_DIM, BatchTracker
 
 RNG = np.random.default_rng(44)
 
@@ -200,6 +204,93 @@ def test_replay_sample_capped_at_size():
                   np.zeros(5, dtype=np.float32), states(5), np.zeros(5, dtype=np.float32))
     out = buf.sample(20, np.random.default_rng(0))
     assert len(out[2]) == 5
+
+
+def _old_mcpft_pick(flat, batch_size, rng):
+    """The critic-batch draw `fusion.mcpft` made by hand from the flat
+    transition arrays before it sampled a `ReplayBuffer`."""
+    ts, ta, tr, ts2, td = flat
+    pick = rng.choice(len(tr), size=min(batch_size, len(tr)), replace=False)
+    return ts[pick], ta[pick], tr[pick], ts2[pick], td[pick]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), chunks=st.lists(st.integers(1, 30), min_size=1,
+                                                       max_size=6),
+       spare=st.integers(0, 20), batch_size=st.integers(1, 200))
+def test_replay_sample_matches_old_mcpft_pick(seed, chunks, spare, batch_size):
+    data = np.random.default_rng(seed)
+    size = sum(chunks)
+    flat = (data.normal(size=(size, STATE_DIM)).astype(np.float32),
+            data.uniform(-1, 1, (size, ACTION_DIM)).astype(np.float32),
+            data.normal(size=size).astype(np.float32),
+            data.normal(size=(size, STATE_DIM)).astype(np.float32),
+            (data.random(size) < 0.2).astype(np.float32))
+    buf = ReplayBuffer(size + spare)  # sized like mcpft's buffer: it never wraps
+    lo = 0
+    for n in chunks:
+        buf.add_batch(*(x[lo:lo + n] for x in flat))
+        lo += n
+    rng_new, rng_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = buf.sample(batch_size, rng_new)
+    want = _old_mcpft_pick(flat, batch_size, rng_old)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float32
+        assert g.tobytes() == w.tobytes()
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def _old_random_rollout(tracker, seeds, hints, rng, buffer):
+    """Kept copy of `rollout(..., random_actions=True)` before actors became
+    callables: draws sized by `tracker.n`, explicit float32 casts."""
+    total_r, total_steps = 0.0, 0
+
+    def act(states):
+        acts = rng.uniform(-1.0, 1.0, size=(tracker.n, ACTION_DIM))
+        acts[np.linalg.norm(acts, axis=1) < 1e-6] = [1.0, 0.0, 0.0]
+        return acts
+
+    def observe(live, states, acts, rewards, done, next_states):
+        nonlocal total_r, total_steps
+        buffer.add_batch(states[live], acts[live].astype(np.float32), rewards[live],
+                         next_states[live], done[live].astype(np.float32))
+        total_r += rewards[live].sum()
+        total_steps += len(live)
+
+    tracker.run(seeds, hints, act, observe)
+    return total_r, total_steps
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uniform_actions_rollout_matches_old_random_branch(tube_phantom, env_cfg, seed):
+    seeds, hints = agents.sample_seeds(tube_phantom, "tube", 12,
+                                       np.random.default_rng(seed))
+    runs = []
+    for roll in ("old", "new"):
+        rng = np.random.default_rng(seed + 100)
+        tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+        buf = ReplayBuffer(12 * env_cfg.max_steps + 5)
+        if roll == "old":
+            totals = _old_random_rollout(tracker, seeds, hints, rng, buf)
+        else:
+            totals = agents.rollout(partial(uniform_actions, rng=rng), tracker, seeds,
+                                    hints, buffer=buf)
+        runs.append((totals, buf, rng.bit_generator.state))
+    (old_totals, old_buf, old_rng), (new_totals, new_buf, new_rng) = runs
+    assert new_totals == old_totals
+    assert new_buf.size == old_buf.size > 12
+    assert (new_buf.idx, new_buf.size) == (old_buf.idx, old_buf.size)
+    for name in ("s", "a", "r", "s2", "d"):
+        assert getattr(new_buf, name).tobytes() == getattr(old_buf, name).tobytes()
+    assert new_rng == old_rng
+
+
+def test_uniform_actions_sized_by_states():
+    rng = np.random.default_rng(3)
+    acts = uniform_actions(np.zeros((5, STATE_DIM), dtype=np.float32), rng)
+    assert acts.shape == (5, ACTION_DIM)
+    assert np.all(np.abs(acts) <= 1.0)
+    assert np.all(np.linalg.norm(acts, axis=1) > 0)
 
 
 # -- updates ------------------------------------------------------------------

@@ -196,6 +196,44 @@ def test_provenance_detects_tamper(tmp_path, cfg_file, capsys):
     assert any("hash mismatch" in p for p in problems)
 
 
+EDS_CROSSING = """\
+phantom.kind = crossing-pair
+phantom.dims = 16,16,8
+phantom.radius = 2.0
+env.max_steps = 20
+eds.window = 8
+eds.seeds_per_voxel = 1
+eds.min_transitions = 2
+eds.mdf_threshold_mm = 50.0
+eds.reference_count = 4
+eds.pretrain_target = 4
+eds.finetune_target = 4
+"""
+
+
+@pytest.mark.filterwarnings("ignore:.*records for target")
+def test_eds_manifest_lists_ground_truth(tmp_path):
+    """The eds stage builds its reference sets from gt_*.stl, so its manifest
+    records each of them and provenance catches a rewritten one."""
+    cfg = resolve_config(EDS_CROSSING, preset="desk")
+    out = tmp_path / "run"
+    pipeline.stage_phantom(cfg, out)
+    for i, algo in enumerate(pipeline.POLICY_ALGOS):
+        agents.PolicyBundle(algo, hidden=16, seed=i).save(out / f"policy_{algo}.ckp")
+    pipeline.stage_eds(cfg, out)
+    gt = sorted(p.name for p in out.glob("gt_*.stl"))
+    assert gt == ["gt_bundle_a.stl", "gt_bundle_b.stl"]
+    assert set(gt) <= set(pipeline.read_manifest(out, "eds")["inputs"])
+    assert pipeline.verify_provenance(out) == []
+    for name in gt:
+        path = out / name
+        original = path.read_bytes()
+        path.write_bytes(original[:-4] + b"\xff\xff\xff\x7f")
+        assert pipeline.verify_provenance(out) == [
+            f"manifest_eds.json: input {name} hash mismatch"]
+        path.write_bytes(original)
+
+
 def test_cli_failed_provenance_exit_1(tmp_path, cfg_file, capsys):
     out = tmp_path / "run"
     assert cli.main(["--preset", "desk", "--config", str(cfg_file),

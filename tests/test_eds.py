@@ -154,6 +154,39 @@ def test_across_policy_excludes_empty_policies():
     assert winner == "ddpg"
 
 
+def _eds_inline_normalize(raw):
+    """The rule `across_policy_select` inlined before `min_max_normalize`."""
+    lo, hi = raw.min(), raw.max()
+    if hi - lo < 1e-12:
+        normed = np.full_like(raw, 0.5)  # degenerate constant-Q batch
+    else:
+        normed = (raw - lo) / (hi - lo)
+    return normed
+
+
+def _maxq_inline_normalize(q):
+    """The rule `MaxQEnsemble.act` inlined before `min_max_normalize`."""
+    lo, hi = q.min(), q.max()
+    return np.full_like(q, 0.5) if hi - lo < 1e-12 else (q - lo) / (hi - lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), offset=st.floats(-10, 10),
+       unit=st.lists(st.floats(0, 1), min_size=1, max_size=40),
+       spread=st.sampled_from([0.0, 1e-13, 1e-11, 1e-6, 1.0, 1e3]))
+def test_min_max_normalize_matches_both_inline_forms(dtype, offset, unit, spread):
+    """Spreads around the 1e-12 cut-off, and constant input, in both dtypes."""
+    x = (offset + spread * np.asarray(unit)).astype(dtype)
+    got = eds.min_max_normalize(x)
+    assert got.dtype == x.dtype
+    for inline in (_eds_inline_normalize, _maxq_inline_normalize):
+        want = inline(x)
+        assert want.dtype == got.dtype
+        assert got.tobytes() == want.tobytes()
+    if spread == 0.0:
+        assert np.all(got == 0.5)
+
+
 # -- harvest + datasets -------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -357,7 +357,11 @@ def test_fusion_tracker_transitions(tube_phantom, env_cfg):
     runner = FusionTracker(m, tube_phantom, "tube", env_cfg, rtg0=10.0)
     mask = np.argwhere(tube_phantom.mask_for("tube").values > 0)
     seeds = mask[[5, 20]].astype(np.float64)
-    streams, (s, a, r, s2, d) = runner.run(seeds, record_transitions=True)
+    buf = agents.ReplayBuffer(len(seeds) * env_cfg.max_steps)
+    streams = runner.run(seeds, buffer=buf)
     n = sum(len(x) - 1 for x in streams)
+    assert buf.size == buf.idx == n  # one row per step, nothing wrapped
+    s, a, r, s2, d = buf.sample(buf.size, np.random.default_rng(0))
     assert len(s) == len(a) == len(r) == len(s2) == len(d) == n
-    assert d.sum() == 2.0  # every episode terminates exactly once
+    assert d.sum() == buf.d.sum() == 2.0  # every episode terminates exactly once
+    assert all(x.dtype == np.float32 for x in (s, a, r, s2, d))
