@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binio
-from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
+from .env import (BatchTracker, REASON_NO_DIRECTION, STATE_DIM, jittered_seeds,
+                  peak_hints)
 from .geometry import MDF_POINTS, build_reference_set, min_mdf_to_refs
 
 EDS_MAGIC = b"EDS1"
@@ -78,31 +79,42 @@ def compute_rtg(rewards):
 
 
 def _track_records(policy, policy_name, phantom, bundle_name, env_cfg, seeds, hints):
-    """Deterministic rollout of one policy from a seed batch, fully recorded."""
-    tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    n, max_t = len(seeds), env_cfg.max_steps
-    s_buf = np.zeros((n, max_t, STATE_DIM), dtype=np.float32)
-    a_buf = np.zeros((n, max_t, 3), dtype=np.float32)
-    r_buf = np.zeros((n, max_t), dtype=np.float32)
+    """Deterministic rollout of one policy from a seed batch, fully recorded.
 
-    def observe(live, states, actions, rewards, done, next_states):
-        t = tracker.steps[live] - 1
-        norm = np.linalg.norm(actions, axis=1, keepdims=True)
-        unit = np.divide(actions, norm, out=np.zeros_like(actions), where=norm > 0)
-        s_buf[live, t] = states[live]
-        a_buf[live, t] = unit[live]
-        r_buf[live, t] = rewards[live]
+    Episodes step in lockstep, so observe call k holds step k of exactly the
+    rows whose episode takes more than k steps. Only those rows are kept, and
+    each record gathers its own rows after the run, so memory follows the
+    steps taken, not `env_cfg.max_steps`.
+    """
+    tracker = BatchTracker(phantom, bundle_name, env_cfg)
+    rows, states, actions, rewards = [], [], [], []
+
+    def observe(live, s, a, r, done, next_states):
+        moved = live[tracker.reasons[live] != REASON_NO_DIRECTION]
+        acts = a[moved]
+        norm = np.linalg.norm(acts, axis=1, keepdims=True)
+        unit = np.divide(acts, norm, out=np.zeros_like(acts), where=norm > 0)
+        rows.append(moved)
+        states.append(s[moved])
+        actions.append(unit.astype(np.float32, copy=False))
+        rewards.append(r[moved].astype(np.float32))
 
     tracker.run(seeds, hints, policy.act, observe)
     streamlines = tracker.streamlines()
+    # a stable sort by row turns the step-major captures row-major; row i's
+    # steps are then order[ends[i] - steps[i]:ends[i]]
+    order = np.argsort(np.concatenate(rows), kind="stable")
+    ends = np.cumsum(tracker.steps)
+    states, actions, rewards = (np.concatenate(c) for c in (states, actions, rewards))
     records = []
-    for i in range(n):
+    for i in range(len(seeds)):
         t = int(tracker.steps[i])
         if t < 1:
             continue
-        rew = r_buf[i, :t].copy()
+        idx = order[ends[i] - t:ends[i]]
+        rew = rewards[idx]
         records.append(TrajectoryRecord(
-            states=s_buf[i, :t].copy(), actions=a_buf[i, :t].copy(), rewards=rew,
+            states=states[idx], actions=actions[idx], rewards=rew,
             rtg=compute_rtg(rew), policy_id=policy_name,
             streamline=streamlines[i], bundle_name=bundle_name))
     return records

@@ -1,5 +1,7 @@
 """Tracking MDP: 334-d state construction, alignment reward, and episode
-termination (step cap, mask exit, sharp angle).
+termination. An episode ends at the step cap (`max_steps`), on leaving the
+mask (`left_mask`), on a turn sharper than `max_angle_deg` (`sharp_angle`),
+or on a zero-norm action (`no_direction`), which takes no step.
 
 State layout: 45 SH coefficients at the current position and its 6 axis
 neighbors (315), last 4 tracking directions newest-first (12, zero-padded),
@@ -29,6 +31,7 @@ REASON_NONE = "none"
 REASON_MAX_STEPS = "max_steps"
 REASON_LEFT_MASK = "left_mask"
 REASON_SHARP_ANGLE = "sharp_angle"
+REASON_NO_DIRECTION = "no_direction"
 
 
 class EnvError(RuntimeError):
@@ -175,7 +178,9 @@ class BatchTracker:
 
         Returns (rewards, done, reasons) over the full batch; inactive
         episodes report reward 0 and keep their terminal reason. Only the
-        active rows are computed: a finished row's action is never read.
+        active rows are computed: a finished row's action is never read. An
+        active row whose action is zero ends as `no_direction` with reward 0,
+        without moving or adding a point.
         """
         if not self.active.any():
             raise EnvError("step on a batch with no active episodes")
@@ -184,8 +189,12 @@ class BatchTracker:
         if not np.isfinite(acts).all():
             raise EnvError("non-finite action on an active episode")
         norms = np.linalg.norm(acts, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise EnvError("zero-norm action has no direction")
+        stuck = live[norms[:, 0] == 0]
+        if len(stuck):
+            moving = norms[:, 0] > 0
+            live, acts, norms = live[moving], acts[moving], norms[moving]
+            self.reasons[stuck] = REASON_NO_DIRECTION
+            self.active[stuck] = False
         a = acts / norms
 
         has_prev = self.has_prev[live]
@@ -214,6 +223,7 @@ class BatchTracker:
         self.active[ended] = False
         done = np.zeros(self.n, dtype=bool)
         done[ended] = True
+        done[stuck] = True
         return rewards, done, self.reasons.copy()
 
     def run(self, seeds, hints, act, observe=None):

@@ -113,10 +113,17 @@ def track_fusion(model, phantom, bundle_name, cfg, env_cfg, seed=0):
     return _merge_bidirectional(fwd, bwd)
 
 
+def _has_extent(streamline):
+    """At least two points and a nonzero arc length."""
+    return len(streamline) >= 2 and bool(np.any(streamline[1:] != streamline[:-1]))
+
+
 def post_filter(streamlines, refs, threshold_mm, voxel_size=1.0):
-    """Keep streamlines within threshold MDF (mm) of any reference."""
+    """Keep streamlines within threshold MDF (mm) of any reference. A
+    streamline without extent (one point, or all points equal) is dropped."""
+    streamlines = [s for s in streamlines if _has_extent(s)]
     if not np.isfinite(threshold_mm):
-        return list(streamlines)
+        return streamlines
     return [s for s in streamlines
             if min_mdf_to_refs(s, refs, voxel_size, k=MDF_POINTS) <= threshold_mm]
 

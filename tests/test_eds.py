@@ -1,16 +1,19 @@
 """Episodic-data-selection tests: return-to-go, filters, normalized-Q
 across-policy selection, harvest determinism, and the dataset file format."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tractfuse import eds
 from tractfuse.eds import (EdsError, HarvestSpec, TrajectoryRecord, compute_rtg,
                            across_policy_select, length_filter,
                            within_policy_filter)
-from tractfuse.env import STATE_DIM
+from tractfuse.env import STATE_DIM, BatchTracker, EnvConfig
 from tractfuse.geometry import resample
 
 RNG = np.random.default_rng(55)
@@ -239,6 +242,136 @@ def test_build_datasets_downsample_warning(tube_phantom, env_cfg, tiny_policies)
                                 pretrain_target=10 ** 6, finetune_target=10 ** 6,
                                 seed=0)
     assert len(ds.pretrain) > 0
+
+
+class StraightActor:
+    """Row-wise actor that keeps the newest history direction (the seed hint
+    at step 0, +x when there is none), so tube episodes run to the tube's end
+    or to the step cap."""
+
+    def act(self, states):
+        a = np.array(states[:, 315:318])
+        a[~a.any(axis=1)] = (1.0, 0.0, 0.0)
+        return a
+
+
+class StopRowActor(StraightActor):
+    """`StraightActor` that returns an exact zero for one row from call
+    `at` on."""
+
+    def __init__(self, row, at):
+        self.row, self.at, self.calls = row, at, 0
+
+    def act(self, states):
+        a = super().act(states)
+        if self.calls >= self.at:
+            a[self.row] = 0.0
+        self.calls += 1
+        return a
+
+
+def test_harvest_skips_the_step_without_direction(tube_phantom):
+    """A row whose action turns zero at step k yields a record of its first
+    k steps; every other record is as in a harvest without the zero."""
+    spec, cfg = HarvestSpec(window=4, seeds_per_voxel=2), EnvConfig(max_steps=530)
+
+    def harvest(actor):
+        return eds.harvest({"sac": actor}, tube_phantom, "tube", (8, 4, 4), spec, cfg,
+                           np.random.default_rng(5))["sac"]
+
+    want = harvest(StraightActor())
+    row, at = int(np.argmax([r.length for r in want])), 4
+    got = harvest(StopRowActor(row, at))
+    assert len(got) == len(want) and got[row].length == at
+    for i, (g, w) in enumerate(zip(got, want)):
+        t = g.length
+        assert t == (at if i == row else w.length)
+        for attr in ("states", "actions", "rewards"):
+            assert getattr(g, attr).tobytes() == getattr(w, attr)[:t].tobytes(), (i, attr)
+        assert g.streamline.tobytes() == w.streamline[:t + 1].tobytes()
+
+
+def full_buffer_track_records(policy, policy_name, phantom, bundle_name, env_cfg,
+                              seeds, hints):
+    """`eds._track_records` as it was with `(n, max_steps, .)` capture
+    buffers. Kept as the bit-level reference."""
+    tracker = BatchTracker(phantom, bundle_name, env_cfg)
+    n, max_t = len(seeds), env_cfg.max_steps
+    s_buf = np.zeros((n, max_t, STATE_DIM), dtype=np.float32)
+    a_buf = np.zeros((n, max_t, 3), dtype=np.float32)
+    r_buf = np.zeros((n, max_t), dtype=np.float32)
+
+    def observe(live, states, actions, rewards, done, next_states):
+        t = tracker.steps[live] - 1
+        norm = np.linalg.norm(actions, axis=1, keepdims=True)
+        unit = np.divide(actions, norm, out=np.zeros_like(actions), where=norm > 0)
+        s_buf[live, t] = states[live]
+        a_buf[live, t] = unit[live]
+        r_buf[live, t] = rewards[live]
+
+    tracker.run(seeds, hints, policy.act, observe)
+    streamlines = tracker.streamlines()
+    records = []
+    for i in range(n):
+        t = int(tracker.steps[i])
+        if t < 1:
+            continue
+        rew = r_buf[i, :t].copy()
+        records.append(TrajectoryRecord(
+            states=s_buf[i, :t].copy(), actions=a_buf[i, :t].copy(), rewards=rew,
+            rtg=compute_rtg(rew), policy_id=policy_name,
+            streamline=streamlines[i], bundle_name=bundle_name))
+    return records
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ox=st.integers(1, 19), oy=st.integers(3, 5),
+       oz=st.integers(3, 5), max_steps=st.one_of(st.integers(1, 50), st.integers(1, 530)))
+@example(seed=0, ox=8, oy=4, oz=4, max_steps=1)
+@example(seed=0, ox=8, oy=4, oz=4, max_steps=530)
+def test_harvest_matches_full_buffer_capture(tube_phantom, tiny_policies, seed, ox, oy, oz,
+                                             max_steps):
+    """Capturing only the steps taken gives the records of the full-buffer
+    capture: same order, policy, length, and bytes and dtype of every array,
+    with episodes that end at the step cap among them. Every window drawn
+    holds four voxels of the tube's axis, so it always yields seeds."""
+    policies = {"td3": tiny_policies["td3"], "sac": StraightActor(),
+                "ddpg": tiny_policies["ddpg"]}
+    spec, cfg = HarvestSpec(window=4, seeds_per_voxel=1), EnvConfig(max_steps=max_steps)
+    got = eds.harvest(policies, tube_phantom, "tube", (ox, oy, oz), spec, cfg,
+                      np.random.default_rng(seed))
+    with mock.patch.object(eds, "_track_records", full_buffer_track_records):
+        want = eds.harvest(policies, tube_phantom, "tube", (ox, oy, oz), spec, cfg,
+                           np.random.default_rng(seed))
+    assert list(got) == list(want)
+    for name in want:
+        assert len(got[name]) == len(want[name])
+        for g, w in zip(got[name], want[name]):
+            assert (g.policy_id, g.bundle_name, g.length) == (w.policy_id, w.bundle_name,
+                                                               w.length)
+            for attr in ("states", "actions", "rewards", "rtg", "streamline"):
+                a, b = getattr(g, attr), getattr(w, attr)
+                assert a.dtype == b.dtype and a.shape == b.shape, attr
+                assert a.tobytes() == b.tobytes(), attr
+                assert a.flags.c_contiguous and a.flags.owndata, attr
+
+
+def test_harvest_memory_follows_steps_taken(tube_phantom, tiny_policies):
+    """With a 530-step cap, the traced peak during a harvest stays within a
+    few copies of what the records hold, not `seeds x max_steps` states."""
+    policies = {"td3": tiny_policies["td3"], "sac": StraightActor(),
+                "ddpg": tiny_policies["ddpg"]}
+    spec = HarvestSpec(window=4, seeds_per_voxel=4)
+    tracemalloc.start()
+    try:
+        grouped = eds.harvest(policies, tube_phantom, "tube", (8, 4, 4), spec,
+                              EnvConfig(max_steps=530), np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    steps = sum(r.length for recs in grouped.values() for r in recs)
+    assert max(r.length for r in grouped["sac"]) > 20
+    assert peak < 4 * steps * (STATE_DIM + 5) * 4 + 2 * 2**20, (peak, steps)
 
 
 # -- EDS1 file format ---------------------------------------------------------

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from tractfuse import agents, eds, trackeval
 from tractfuse.env import (EnvConfig, EnvError, REASON_LEFT_MASK,
-                           REASON_MAX_STEPS, REASON_NONE, REASON_SHARP_ANGLE,
-                           STATE_DIM, BatchTracker, TrackingEnv, build_states,
-                           reward)
+                           REASON_MAX_STEPS, REASON_NO_DIRECTION, REASON_NONE,
+                           REASON_SHARP_ANGLE, STATE_DIM, BatchTracker, TrackingEnv,
+                           build_states, jittered_seeds, peak_hints, reward)
+from tractfuse.geometry import build_reference_set
 from tractfuse.phantom import sample_field
 
 RNG = np.random.default_rng(21)
@@ -365,6 +366,75 @@ def test_step_live_rows_match_full_batch_step(crossing_phantom, seed, n, wobble,
             assert getattr(live, attr).tobytes() == getattr(ref, attr).tobytes(), attr
     if len(seeds) > 1 and len(set(ref.steps)) > 1:
         assert finished_rows_stepped > 0
+
+
+class HoldCourse:
+    """Row-wise actor that keeps the newest history direction (+x when there
+    is none). With `zero_row`, it returns an exact zero for that row from
+    call `zero_at` on."""
+
+    def __init__(self, zero_row=None, zero_at=0):
+        self.zero_row, self.zero_at, self.calls = zero_row, zero_at, 0
+
+    def act(self, states):
+        a = np.array(states[:, 315:318], dtype=np.float64)
+        a[~a.any(axis=1)] = (1.0, 0.0, 0.0)
+        if self.zero_row is not None and self.calls >= self.zero_at:
+            a[self.zero_row] = 0.0
+        self.calls += 1
+        return a
+
+
+def run_logged(phantom, cfg, seeds, hints, actor):
+    tracker, log = BatchTracker(phantom, "tube", cfg), []
+    tracker.run(seeds, hints, actor.act,
+                lambda live, s, a, rewards, done, ns: log.append((rewards, done)))
+    return tracker, log
+
+
+def test_zero_action_ends_only_its_row(tube_phantom):
+    """A zero action ends its row as `no_direction` with reward 0 and no
+    move; every other row tracks as if that row were not in the batch."""
+    cfg = EnvConfig(max_steps=530)
+    mask = tube_phantom.mask_for("tube").values
+    seeds = jittered_seeds(mask, np.argwhere(mask > 0)[::5], 1, np.random.default_rng(4))
+    hints, _ = peak_hints(tube_phantom, seeds)
+    ref, _ = run_logged(tube_phantom, cfg, seeds, hints, HoldCourse())
+    row, at = int(np.argmax(ref.steps)), 3
+    assert ref.steps[row] > at + 1
+
+    got, log = run_logged(tube_phantom, cfg, seeds, hints, HoldCourse(row, at))
+    assert got.reasons[row] == REASON_NO_DIRECTION and got.steps[row] == at
+    rewards, done = log[at]
+    assert rewards[row] == 0.0 and done[row]
+    assert got.streamlines()[row].tobytes() == ref.points[row, :at + 1].tobytes()
+    assert not got.points[row, at + 1:].any()
+
+    others = np.arange(len(seeds)) != row
+    rest, rest_log = run_logged(tube_phantom, cfg, seeds[others], hints[others],
+                                HoldCourse())
+    assert list(got.reasons[others]) == list(rest.reasons)
+    assert got.steps[others].tobytes() == rest.steps.tobytes()
+    kept = [s for i, s in enumerate(got.streamlines()) if i != row]
+    assert [s.tobytes() for s in kept] == [s.tobytes() for s in rest.streamlines()]
+    assert len(log) == len(rest_log)
+    for (r, d), (rr, rd) in zip(log, rest_log):
+        assert r[others].tobytes() == rr.tobytes()
+        assert d[others].tobytes() == rd.tobytes()
+
+
+def test_zero_action_tracks_and_post_filters(tube_phantom, env_cfg):
+    """A seed whose actions are all zero yields a one-point streamline in
+    `track_policy`; `post_filter` drops it at any threshold."""
+    cfg = trackeval.TrackConfig(seeds_per_voxel=1)
+    streams = trackeval.track_policy(HoldCourse(zero_row=0), tube_phantom, "tube", cfg,
+                                     env_cfg, seed=0)
+    assert len(streams[0]) == 1 and all(len(s) > 2 for s in streams[1:])
+    refs = build_reference_set(tube_phantom.bundles["tube"], count=5)
+    for threshold in (5.0, np.inf):
+        kept = trackeval.post_filter(streams, refs, threshold)
+        assert 0 < len(kept) < len(streams)
+        assert not any(s is streams[0] for s in kept)
 
 
 # -- seeders ------------------------------------------------------------------

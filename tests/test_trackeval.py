@@ -142,6 +142,15 @@ def test_post_filter_infinite_threshold_keeps_all():
     assert len(post_filter(pool, refs, np.inf)) == 5
 
 
+@pytest.mark.parametrize("threshold", [5.0, np.inf])
+def test_post_filter_drops_streamlines_without_extent(threshold):
+    refs = [resample(line(0.0), 20)]
+    point, still = line(0.0)[:1], np.repeat(line(0.0)[3:4], 4, axis=0)
+    keep = post_filter([point, line(1.0), still], refs, threshold)
+    assert len(keep) == 1
+    np.testing.assert_array_equal(keep[0], line(1.0))
+
+
 # -- ensembles ----------------------------------------------------------------
 
 class ConstPolicy:
