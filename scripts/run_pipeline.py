@@ -17,8 +17,10 @@ with the tractfuse CLI.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from tractfuse import cli, pipeline
+from tractfuse import cli
+from tractfuse.phantom import load_phantom
 
 
 def stage(base, extra):
@@ -53,7 +55,7 @@ def main():
 
     t0 = time.time()
     stage(base, ["phantom"])
-    bundles = sorted(pipeline.load_phantom_with_gt(args.out).bundles)
+    bundles = sorted(m.bundle_name for m in load_phantom(Path(args.out) / "phantom.phn").masks)
     print(f"    bundles: {', '.join(bundles)}")
 
     for algo in args.algos:

@@ -15,9 +15,8 @@ import numpy as np
 
 from . import nn
 from .autodiff import Tensor, concat, exp, frozen, log, minimum, tanh
-from .env import BatchTracker, STATE_DIM, jittered_seeds, peak_hints
+from .env import ACTION_DIM, BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 
-ACTION_DIM = 3
 ALGOS = ("td3", "sac", "ddpg")
 LOG_2PI = float(np.log(2.0 * np.pi))
 

@@ -42,6 +42,8 @@ def build_parser():
 
     sub.add_parser("phantom", help="generate the synthetic field + ground truth")
     p = sub.add_parser("train-rl", help="train one tracking policy")
+    # The algo choices spell out agents.ALGOS: importing agents here would load
+    # numpy before --threads has set the BLAS thread caps.
     p.add_argument("--algo", required=True, choices=("td3", "sac", "ddpg"))
     sub.add_parser("eds", help="harvest and select trajectory datasets")
     sub.add_parser("pretrain", help="supervised pretraining of the fusion model")

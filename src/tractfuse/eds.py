@@ -16,15 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import binio
-from .env import (BatchTracker, REASON_NO_DIRECTION, STATE_DIM, jittered_seeds,
-                  peak_hints)
+from .agents import ALGOS
+from .env import ACTION_DIM, BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 from .geometry import MDF_POINTS, build_reference_set, min_mdf_to_refs
 
 EDS_MAGIC = b"EDS1"
 MIN_TRANSITIONS = 47
 MDF_THRESHOLD_MM = 5.0
-POLICY_ORDER = ("td3", "sac", "ddpg")  # fixed tie-break order
-POLICY_IDS = {name: i for i, name in enumerate(POLICY_ORDER)}
+POLICY_IDS = {name: i for i, name in enumerate(ALGOS)}  # ALGOS order breaks ties
 
 
 class EdsError(RuntimeError):
@@ -90,14 +89,11 @@ def _track_records(policy, policy_name, phantom, bundle_name, env_cfg, seeds, hi
     rows, states, actions, rewards = [], [], [], []
 
     def observe(live, s, a, r, done, next_states):
-        moved = live[tracker.reasons[live] != REASON_NO_DIRECTION]
-        acts = a[moved]
-        norm = np.linalg.norm(acts, axis=1, keepdims=True)
-        unit = np.divide(acts, norm, out=np.zeros_like(acts), where=norm > 0)
-        rows.append(moved)
-        states.append(s[moved])
-        actions.append(unit.astype(np.float32, copy=False))
-        rewards.append(r[moved].astype(np.float32))
+        acts = a[live]
+        rows.append(live)
+        states.append(s[live])
+        actions.append((acts / np.linalg.norm(acts, axis=1, keepdims=True)).astype(np.float32))
+        rewards.append(r[live].astype(np.float32))
 
     tracker.run(seeds, hints, policy.act, observe)
     streamlines = tracker.streamlines()
@@ -175,7 +171,7 @@ def across_policy_select(records_by_policy, policies):
     surviving records are excluded; all-excluded yields an empty selection.
     """
     mean_scores = {}
-    for name in POLICY_ORDER:
+    for name in ALGOS:
         recs = records_by_policy.get(name, [])
         if not recs:
             continue
@@ -184,7 +180,7 @@ def across_policy_select(records_by_policy, policies):
     if not mean_scores:
         warnings.warn("across-policy selection: no policy has surviving records")
         return [], None
-    winner = max(POLICY_ORDER, key=lambda n: (mean_scores.get(n, -np.inf), -POLICY_IDS[n]))
+    winner = max(ALGOS, key=lambda n: (mean_scores.get(n, -np.inf), -POLICY_IDS[n]))
     return list(records_by_policy[winner]), winner
 
 
@@ -206,16 +202,14 @@ def build_datasets(phantom, policies, env_cfg, spec=None, pretrain_target=1500,
     rng = np.random.default_rng(seed)
     voxel_size = phantom.grid.voxel_size
     datasets = EdsDatasets()
-    refs_cache = {}
 
     for mask_obj in phantom.masks:
         bundle = mask_obj.bundle_name
         gt = phantom.bundles.get(bundle)
         if not gt:
             raise EdsError(f"phantom has no ground-truth streamlines for '{bundle}'")
-        refs = build_reference_set(gt, count=min(spec.reference_count, len(gt)),
+        refs = build_reference_set(gt, count=spec.reference_count,
                                    voxel_size=voxel_size, k=MDF_POINTS)
-        refs_cache[bundle] = refs
         datasets.finetune.setdefault(bundle, [])
         for origin in _sweep_origins(mask_obj.values, spec.window):
             grouped = harvest(policies, phantom, bundle, origin, spec, env_cfg, rng)
@@ -266,19 +260,19 @@ def load_records(path):
     out = []
     for _ in range(count):
         (pid,) = r.unpack("B", "policy id")
-        if pid >= len(POLICY_ORDER):
+        if pid >= len(ALGOS):
             r.fail(f"unknown policy id {pid}")
         bundle = r.string("bundle name")
         (t,) = r.unpack("I", "record length")
         if t < 1:
             r.fail("empty record")
         states = r.array("<f4", (t, STATE_DIM), "states")
-        actions = r.array("<f4", (t, 3), "actions")
+        actions = r.array("<f4", (t, ACTION_DIM), "actions")
         rewards = r.array("<f4", (t,), "rewards")
         rtg = r.array("<f4", (t,), "rtg")
         streamline = r.array("<f4", (t + 1, 3), "streamline")
         out.append(TrajectoryRecord(states=states, actions=actions, rewards=rewards,
-                                    rtg=rtg, policy_id=POLICY_ORDER[pid],
+                                    rtg=rtg, policy_id=ALGOS[pid],
                                     streamline=streamline, bundle_name=bundle))
     r.end()
     return out

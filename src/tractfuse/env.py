@@ -25,6 +25,7 @@ import numpy as np
 from .phantom import sample_field
 
 STATE_DIM = 334
+ACTION_DIM = 3
 N_HISTORY = 4
 
 REASON_NONE = "none"
@@ -180,7 +181,8 @@ class BatchTracker:
         episodes report reward 0 and keep their terminal reason. Only the
         active rows are computed: a finished row's action is never read. An
         active row whose action is zero ends as `no_direction` with reward 0,
-        without moving or adding a point.
+        without moving or adding a point. `stepped` then indexes the rows
+        that moved.
         """
         if not self.active.any():
             raise EnvError("step on a batch with no active episodes")
@@ -195,6 +197,7 @@ class BatchTracker:
             live, acts, norms = live[moving], acts[moving], norms[moving]
             self.reasons[stuck] = REASON_NO_DIRECTION
             self.active[stuck] = False
+        self.stepped = live
         a = acts / norms
 
         has_prev = self.has_prev[live]
@@ -231,15 +234,16 @@ class BatchTracker:
 
         Each step calls `act(states)` on the full batch, steps, and then
         `observe(live, states, actions, rewards, done, next_states)`, where
-        `live` indexes the rows that were active before the step. Only those
-        rows' states are rebuilt: a finished row's position and history no
-        longer change, so its state stays the same.
+        `live` indexes the rows that took the step: a row whose zero action
+        ended it took none, so it is not a transition. Only the live rows'
+        states are rebuilt: the position and history of any other row did
+        not change, so its state stays the same.
         """
         states = self.reset(seeds, hints)
         while self.active.any():
-            live = np.nonzero(self.active)[0]
             actions = act(states)
             rewards, done, _ = self.step(actions)
+            live = self.stepped
             next_states = states.copy()
             next_states[live] = build_states(self.phantom, self.mask, self.pos[live],
                                              self.history[live], self.config.neighbor_offset)

@@ -15,9 +15,7 @@ import numpy as np
 
 from . import nn
 from .autodiff import Tensor, arccos_clamped, concat, frozen, minimum, no_grad, sqrt, tanh
-from .env import BatchTracker, STATE_DIM
-
-ACTION_DIM = 3
+from .env import ACTION_DIM, BatchTracker, STATE_DIM
 
 
 class FusionError(RuntimeError):

@@ -125,6 +125,8 @@ def load_streamlines(path):
 
 
 def build_reference_set(gt_streamlines, count=REFERENCE_COUNT, voxel_size=1.0, k=MDF_POINTS):
-    """Reference streamlines for one bundle via farthest sampling of ground truth."""
-    refs, _ = farthest_sample(gt_streamlines, count, voxel_size=voxel_size, k=k)
+    """Reference streamlines for one bundle via farthest sampling of ground
+    truth; a `count` above the pool size takes the whole pool."""
+    refs, _ = farthest_sample(gt_streamlines, min(count, len(gt_streamlines)),
+                              voxel_size=voxel_size, k=k)
     return refs

@@ -1,25 +1,21 @@
 """Stage implementations behind the CLI: each stage reads its upstream
 artifacts, runs one pipeline step, and writes outputs plus a manifest with
-content hashes of everything consumed and produced."""
+content hashes of everything consumed and produced.
+
+A stage opens and writes artifacts only through its `StageRecord`, so the
+manifest lists exactly the files the stage read and wrote."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import agents, eds, fusion, geometry, trackeval
-from .config import RunConfig
 from .env import EnvConfig
 from .phantom import (BundleSpec, PhantomSpec, VoxelGrid, generate_phantom,
                       load_phantom, save_phantom)
-
-POLICY_ALGOS = ("td3", "sac", "ddpg")
-TRACK_ALGOS = POLICY_ALGOS + ("avg", "maxq", "fusion")
 
 
 class StageInputError(FileNotFoundError):
@@ -71,37 +67,55 @@ def read_manifest(outdir, stage):
         return json.load(f)
 
 
+class StageRecord:
+    """The artifacts one stage run reads and writes in `outdir`. `read` and
+    `write` return the path and note it; `finish` writes the stage manifest
+    from those notes. A record with no stage name only reads."""
+
+    def __init__(self, outdir, stage=None, cfg=None):
+        self.dir, self.stage, self.cfg = Path(outdir), stage, cfg
+        self.inputs, self.outputs = [], []
+        self.t0 = time.time()
+
+    def read(self, name, produced_by):
+        self.inputs.append(_require(self.dir / name, produced_by))
+        return self.inputs[-1]
+
+    def write(self, name):
+        self.outputs.append(self.dir / name)
+        return self.outputs[-1]
+
+    def finish(self, extras):
+        write_manifest(self.dir, self.stage, self.cfg, self.inputs, self.outputs, extras,
+                       time.time() - self.t0)
+        return extras
+
+
 def _env_config(cfg):
     return EnvConfig(step_size=cfg["env.step_size"], max_steps=cfg["env.max_steps"],
                      max_angle_deg=cfg["env.max_angle_deg"],
                      neighbor_offset=cfg["env.neighbor_offset"])
 
 
-def _resolved_config_path(outdir, cfg):
-    path = Path(outdir) / "resolved_config.cfg"
-    with open(path, "w") as f:
-        f.write(cfg.to_text())
-    return path
-
-
-def load_phantom_with_gt(outdir):
-    """Phantom plus its ground-truth bundles from phantom.phn + gt_*.stl."""
-    outdir = Path(outdir)
-    phn = _require(outdir / "phantom.phn", "phantom")
-    phantom = load_phantom(phn)
-    for mask in phantom.masks:
-        stl = _require(outdir / f"gt_{mask.bundle_name}.stl", "phantom")
-        streams, _ = geometry.load_streamlines(stl)
-        phantom.bundles[mask.bundle_name] = streams
+def load_phantom_with_gt(record, bundles=None):
+    """Phantom from phantom.phn plus the ground truth gt_<b>.stl of each
+    bundle in `bundles` (default: every bundle of the phantom). `record` is a
+    `StageRecord` or an artifact directory."""
+    if not isinstance(record, StageRecord):
+        record = StageRecord(record)
+    phantom = load_phantom(record.read("phantom.phn", "phantom"))
+    for b in [m.bundle_name for m in phantom.masks] if bundles is None else bundles:
+        phantom.bundles[b], _ = geometry.load_streamlines(record.read(f"gt_{b}.stl", "phantom"))
     return phantom
 
 
-def _load_policies(cfg, outdir):
-    policies = {}
-    for algo in POLICY_ALGOS:
-        path = _require(Path(outdir) / f"policy_{algo}.ckp", f"train-rl --algo {algo}")
-        policies[algo] = agents.PolicyBundle.load(path, hyper=_hyper(cfg, algo))
-    return policies
+def _load_policy(cfg, record, algo):
+    path = record.read(f"policy_{algo}.ckp", f"train-rl --algo {algo}")
+    return agents.PolicyBundle.load(path, hyper=_hyper(cfg, algo))
+
+
+def _load_policies(cfg, record):
+    return {algo: _load_policy(cfg, record, algo) for algo in agents.ALGOS}
 
 
 def _hyper(cfg, algo):
@@ -115,9 +129,8 @@ def _hyper(cfg, algo):
 # -- stages -------------------------------------------------------------------
 
 def stage_phantom(cfg, outdir):
-    t0 = time.time()
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    rec = StageRecord(outdir, "phantom", cfg)
+    rec.dir.mkdir(parents=True, exist_ok=True)
     grid = VoxelGrid(dims=cfg.dims(), voxel_size=cfg["phantom.voxel_size"])
     spec = PhantomSpec(
         grid=grid,
@@ -127,39 +140,33 @@ def stage_phantom(cfg, outdir):
         n_gt_streamlines=cfg["phantom.gt_streamlines"],
     )
     phantom = generate_phantom(spec)
-    phn = outdir / "phantom.phn"
-    save_phantom(phantom, phn)
-    outputs = [phn]
+    save_phantom(phantom, rec.write("phantom.phn"))
     for name, streams in phantom.bundles.items():
-        stl = outdir / f"gt_{name}.stl"
-        geometry.save_streamlines(streams, stl, voxel_size=grid.voxel_size)
-        outputs.append(stl)
-    outputs.append(_resolved_config_path(outdir, cfg))
-    extras = {"bundles": sorted(phantom.bundles),
-              "mask_voxels": {m.bundle_name: int(m.values.sum()) for m in phantom.masks}}
-    write_manifest(outdir, "phantom", cfg, [], outputs, extras, time.time() - t0)
-    return extras
+        geometry.save_streamlines(streams, rec.write(f"gt_{name}.stl"),
+                                  voxel_size=grid.voxel_size)
+    with open(rec.write("resolved_config.cfg"), "w") as f:
+        f.write(cfg.to_text())
+    return rec.finish({"bundles": sorted(phantom.bundles),
+                       "mask_voxels": {m.bundle_name: int(m.values.sum())
+                                       for m in phantom.masks}})
 
 
 def stage_train_rl(cfg, outdir, algo):
-    t0 = time.time()
-    outdir = Path(outdir)
-    phantom = load_phantom_with_gt(outdir)
+    rec = StageRecord(outdir, f"train-rl-{algo}", cfg)
+    phantom = load_phantom_with_gt(rec)
     env_cfg = _env_config(cfg)
     schedule = agents.RlSchedule(
         batches=cfg["rl.batches"], episodes_per_batch=cfg["rl.episodes_per_batch"],
         grad_steps_per_batch=cfg["rl.grad_steps_per_batch"],
         batch_size=cfg["rl.batch_size"], replay_capacity=cfg["rl.replay_capacity"])
-    bundle = agents.PolicyBundle(algo, hyper=_hyper(cfg, algo),
-                                 hidden=cfg["rl.hidden"],
-                                 seed=cfg["seed"] + 1000 + POLICY_ALGOS.index(algo))
+    index = agents.ALGOS.index(algo)
+    bundle = agents.PolicyBundle(algo, hyper=_hyper(cfg, algo), hidden=cfg["rl.hidden"],
+                                 seed=cfg["seed"] + 1000 + index)
     bundle_names = sorted(phantom.bundles)
     log = agents.train_policy(bundle, phantom, bundle_names, env_cfg, schedule,
-                              seed=cfg["seed"] + 2000 + POLICY_ALGOS.index(algo))
-    ckp = outdir / f"policy_{algo}.ckp"
-    bundle.save(ckp)
-    log_path = outdir / f"train_log_{algo}.json"
-    with open(log_path, "w") as f:
+                              seed=cfg["seed"] + 2000 + index)
+    bundle.save(rec.write(f"policy_{algo}.ckp"))
+    with open(rec.write(f"train_log_{algo}.json"), "w") as f:
         json.dump(log, f, indent=2)
 
     # learning-signal oracle: uniform-random baseline vs the trained policy
@@ -170,41 +177,27 @@ def stage_train_rl(cfg, outdir, algo):
             phantom, b, env_cfg, seed=cfg["seed"] + 3000)
         extras["reward_per_step"][b] = agents.policy_mean_step_reward(
             bundle, phantom, b, env_cfg, seed=cfg["seed"] + 3000)
-    inputs = [outdir / "phantom.phn"] + [outdir / f"gt_{b}.stl" for b in bundle_names]
-    write_manifest(outdir, f"train-rl-{algo}", cfg, inputs, [ckp, log_path],
-                   extras, time.time() - t0)
-    return extras
+    return rec.finish(extras)
 
 
 def stage_eds(cfg, outdir):
-    t0 = time.time()
-    outdir = Path(outdir)
-    phantom = load_phantom_with_gt(outdir)
-    policies = _load_policies(cfg, outdir)
-    env_cfg = _env_config(cfg)
+    rec = StageRecord(outdir, "eds", cfg)
+    phantom = load_phantom_with_gt(rec)
+    policies = _load_policies(cfg, rec)
     spec = eds.HarvestSpec(window=cfg["eds.window"],
                            seeds_per_voxel=cfg["eds.seeds_per_voxel"],
                            min_transitions=cfg["eds.min_transitions"],
                            mdf_threshold_mm=cfg["eds.mdf_threshold_mm"],
                            reference_count=cfg["eds.reference_count"])
-    datasets = eds.build_datasets(phantom, policies, env_cfg, spec=spec,
+    datasets = eds.build_datasets(phantom, policies, _env_config(cfg), spec=spec,
                                   pretrain_target=cfg["eds.pretrain_target"],
                                   finetune_target=cfg["eds.finetune_target"],
                                   seed=cfg["seed"] + 4000)
-    pre_path = outdir / "eds_pretrain.eds"
-    eds.save_records(datasets.pretrain, pre_path)
-    outputs = [pre_path]
+    eds.save_records(datasets.pretrain, rec.write("eds_pretrain.eds"))
     for name, records in datasets.finetune.items():
-        path = outdir / f"eds_finetune_{name}.eds"
-        eds.save_records(records, path)
-        outputs.append(path)
-    extras = {"pretrain_records": len(datasets.pretrain),
-              "finetune_records": {k: len(v) for k, v in datasets.finetune.items()}}
-    inputs = ([outdir / "phantom.phn"]
-              + [outdir / f"gt_{b}.stl" for b in sorted(phantom.bundles)]
-              + [outdir / f"policy_{a}.ckp" for a in POLICY_ALGOS])
-    write_manifest(outdir, "eds", cfg, inputs, outputs, extras, time.time() - t0)
-    return extras
+        eds.save_records(records, rec.write(f"eds_finetune_{name}.eds"))
+    return rec.finish({"pretrain_records": len(datasets.pretrain),
+                       "finetune_records": {k: len(v) for k, v in datasets.finetune.items()}})
 
 
 def _fusion_config(cfg):
@@ -212,51 +205,40 @@ def _fusion_config(cfg):
                                n_blocks=cfg["fusion.blocks"], dropout=cfg["fusion.dropout"])
 
 
-def stage_pretrain(cfg, outdir):
-    t0 = time.time()
-    outdir = Path(outdir)
-    records = eds.load_records(_require(outdir / "eds_pretrain.eds", "eds"))
-    model = fusion.FusionModel(_fusion_config(cfg), seed=cfg["seed"] + 5000)
-    schedule = fusion.TrainSchedule(
-        iterations=cfg["fusion.pretrain_iters"], updates_per_iter=cfg["fusion.updates_per_iter"],
+def _train_schedule(cfg, iterations):
+    return fusion.TrainSchedule(
+        iterations=iterations, updates_per_iter=cfg["fusion.updates_per_iter"],
         batch_size=cfg["fusion.batch_size"], lr=cfg["fusion.lr"], warmup=cfg["fusion.warmup"])
-    log = fusion.pretrain(model, records, schedule, seed=cfg["seed"] + 5001)
-    ckp = outdir / "fusion_pretrained.ckp"
-    model.save(ckp, stage="pretrained")
-    extras = {"iteration_loss": log["iteration_loss"], "records": len(records)}
-    write_manifest(outdir, "pretrain", cfg, [outdir / "eds_pretrain.eds"], [ckp],
-                   extras, time.time() - t0)
-    return extras
+
+
+def stage_pretrain(cfg, outdir):
+    rec = StageRecord(outdir, "pretrain", cfg)
+    records = eds.load_records(rec.read("eds_pretrain.eds", "eds"))
+    model = fusion.FusionModel(_fusion_config(cfg), seed=cfg["seed"] + 5000)
+    log = fusion.pretrain(model, records, _train_schedule(cfg, cfg["fusion.pretrain_iters"]),
+                          seed=cfg["seed"] + 5001)
+    model.save(rec.write("fusion_pretrained.ckp"), stage="pretrained")
+    return rec.finish({"iteration_loss": log["iteration_loss"], "records": len(records)})
 
 
 def stage_finetune(cfg, outdir, bundle_name):
-    t0 = time.time()
-    outdir = Path(outdir)
-    model, _ = fusion.FusionModel.load(_require(outdir / "fusion_pretrained.ckp", "pretrain"))
-    rec_path = _require(outdir / f"eds_finetune_{bundle_name}.eds", "eds")
-    records = eds.load_records(rec_path)
-    schedule = fusion.TrainSchedule(
-        iterations=cfg["fusion.finetune_iters"], updates_per_iter=cfg["fusion.updates_per_iter"],
-        batch_size=cfg["fusion.batch_size"], lr=cfg["fusion.lr"], warmup=cfg["fusion.warmup"])
-    log = fusion.finetune(model, records, schedule, seed=cfg["seed"] + 6000)
-    ckp = outdir / f"fusion_finetuned_{bundle_name}.ckp"
-    model.save(ckp, stage=f"finetuned:{bundle_name}")
-    extras = {"iteration_loss": log["iteration_loss"], "records": len(records)}
-    write_manifest(outdir, f"finetune-{bundle_name}", cfg,
-                   [outdir / "fusion_pretrained.ckp", rec_path], [ckp],
-                   extras, time.time() - t0)
-    return extras
+    rec = StageRecord(outdir, f"finetune-{bundle_name}", cfg)
+    model, _ = fusion.FusionModel.load(rec.read("fusion_pretrained.ckp", "pretrain"))
+    records = eds.load_records(rec.read(f"eds_finetune_{bundle_name}.eds", "eds"))
+    log = fusion.finetune(model, records, _train_schedule(cfg, cfg["fusion.finetune_iters"]),
+                          seed=cfg["seed"] + 6000)
+    model.save(rec.write(f"fusion_finetuned_{bundle_name}.ckp"),
+               stage=f"finetuned:{bundle_name}")
+    return rec.finish({"iteration_loss": log["iteration_loss"], "records": len(records)})
 
 
 def stage_mcpft(cfg, outdir, bundle_name):
-    t0 = time.time()
-    outdir = Path(outdir)
+    rec = StageRecord(outdir, f"mcpft-{bundle_name}", cfg)
     model, _ = fusion.FusionModel.load(
-        _require(outdir / f"fusion_finetuned_{bundle_name}.ckp", f"finetune --bundle {bundle_name}"))
-    phantom = load_phantom_with_gt(outdir)
-    policies = _load_policies(cfg, outdir)
-    rec_path = _require(outdir / f"eds_finetune_{bundle_name}.eds", "eds")
-    records = eds.load_records(rec_path)
+        rec.read(f"fusion_finetuned_{bundle_name}.ckp", f"finetune --bundle {bundle_name}"))
+    phantom = load_phantom_with_gt(rec)
+    policies = _load_policies(cfg, rec)
+    records = eds.load_records(rec.read(f"eds_finetune_{bundle_name}.eds", "eds"))
     schedule = fusion.McpftSchedule(
         iterations=cfg["mcpft.iters"], batch_size=cfg["mcpft.batch_size"],
         actor_updates_per_iter=cfg["mcpft.actor_updates"],
@@ -265,60 +247,43 @@ def stage_mcpft(cfg, outdir, bundle_name):
         rtg0=cfg["track.rtg0"])
     log = fusion.mcpft(model, policies, records, phantom, bundle_name,
                        _env_config(cfg), schedule, seed=cfg["seed"] + 7000)
-    ckp = outdir / f"fusion_mcpft_{bundle_name}.ckp"
-    model.save(ckp, stage=f"mcpft:{bundle_name}")
-    extras = {"actor_updates": log["actor_updates"],
-              "critic_updates": log["critic_updates"],
-              "final_actor_loss": log["actor_loss"][-1] if log["actor_loss"] else None}
-    inputs = [outdir / f"fusion_finetuned_{bundle_name}.ckp", rec_path,
-              outdir / "phantom.phn"] + [outdir / f"policy_{a}.ckp" for a in POLICY_ALGOS]
-    write_manifest(outdir, f"mcpft-{bundle_name}", cfg, inputs, [ckp],
-                   extras, time.time() - t0)
-    return extras
+    model.save(rec.write(f"fusion_mcpft_{bundle_name}.ckp"), stage=f"mcpft:{bundle_name}")
+    return rec.finish({"actor_updates": log["actor_updates"],
+                       "critic_updates": log["critic_updates"],
+                       "final_actor_loss": log["actor_loss"][-1] if log["actor_loss"] else None})
 
 
 def stage_track(cfg, outdir, algo, bundle_name):
-    t0 = time.time()
-    outdir = Path(outdir)
-    phantom = load_phantom_with_gt(outdir)
+    rec = StageRecord(outdir, f"track-{algo}-{bundle_name}", cfg)
+    phantom = load_phantom_with_gt(rec, [bundle_name])
     env_cfg = _env_config(cfg)
     tc = trackeval.TrackConfig(seeds_per_voxel=cfg["track.seeds_per_voxel"],
                                rtg0=cfg["track.rtg0"],
                                post_filter_threshold_mm=cfg["track.post_filter_threshold_mm"])
     seed = cfg["seed"] + 8000
-    inputs = [outdir / "phantom.phn", outdir / f"gt_{bundle_name}.stl"]
     if algo == "fusion":
-        ckp = outdir / f"fusion_mcpft_{bundle_name}.ckp"
-        if not ckp.exists():
-            ckp = _require(outdir / f"fusion_finetuned_{bundle_name}.ckp",
-                           f"finetune --bundle {bundle_name}")
-        model, _ = fusion.FusionModel.load(ckp)
+        ckp = f"fusion_mcpft_{bundle_name}.ckp"
+        if not (rec.dir / ckp).exists():
+            ckp = f"fusion_finetuned_{bundle_name}.ckp"
+        model, _ = fusion.FusionModel.load(rec.read(ckp, f"finetune --bundle {bundle_name}"))
         streams = trackeval.track_fusion(model, phantom, bundle_name, tc, env_cfg, seed=seed)
-        inputs.append(ckp)
     else:
-        if algo in POLICY_ALGOS:
-            path = _require(outdir / f"policy_{algo}.ckp", f"train-rl --algo {algo}")
-            actor = agents.PolicyBundle.load(path, hyper=_hyper(cfg, algo))
-            inputs.append(path)
+        if algo in agents.ALGOS:
+            actor = _load_policy(cfg, rec, algo)
         else:
-            policies = _load_policies(cfg, outdir)
-            inputs.extend(outdir / f"policy_{a}.ckp" for a in POLICY_ALGOS)
+            policies = _load_policies(cfg, rec)
             actor = (trackeval.AvgEnsemble(policies) if algo == "avg"
                      else trackeval.MaxQEnsemble(policies))
         streams = trackeval.track_policy(actor, phantom, bundle_name, tc, env_cfg, seed=seed)
 
-    refs = geometry.build_reference_set(
-        phantom.bundles[bundle_name],
-        count=min(cfg["eds.reference_count"], len(phantom.bundles[bundle_name])),
-        voxel_size=phantom.grid.voxel_size)
+    refs = geometry.build_reference_set(phantom.bundles[bundle_name],
+                                        count=cfg["eds.reference_count"],
+                                        voxel_size=phantom.grid.voxel_size)
     kept = trackeval.post_filter(streams, refs, tc.post_filter_threshold_mm,
                                  phantom.grid.voxel_size)
-    out = outdir / f"tracks_{algo}_{bundle_name}.stl"
-    geometry.save_streamlines(kept, out, voxel_size=phantom.grid.voxel_size)
-    extras = {"raw_streamlines": len(streams), "kept_streamlines": len(kept)}
-    write_manifest(outdir, f"track-{algo}-{bundle_name}", cfg, inputs, [out],
-                   extras, time.time() - t0)
-    return extras
+    geometry.save_streamlines(kept, rec.write(f"tracks_{algo}_{bundle_name}.stl"),
+                              voxel_size=phantom.grid.voxel_size)
+    return rec.finish({"raw_streamlines": len(streams), "kept_streamlines": len(kept)})
 
 
 def verify_provenance(outdir):
@@ -338,27 +303,22 @@ def verify_provenance(outdir):
 
 
 def stage_evaluate(cfg, outdir, force=False):
-    t0 = time.time()
-    outdir = Path(outdir)
-    problems = verify_provenance(outdir)
+    rec = StageRecord(outdir, "evaluate", cfg)
+    problems = verify_provenance(rec.dir)
     if problems and not force:
         raise ProvenanceError("provenance check failed (use --force to override): "
                            + "; ".join(problems))
-    phantom = load_phantom_with_gt(outdir)
-    rows, inputs = [], [outdir / "phantom.phn"]
-    for stl in sorted(outdir.glob("tracks_*.stl")):
-        stem = stl.stem[len("tracks_"):]
-        algo, _, bundle_name = stem.partition("_")
-        streams, _ = geometry.load_streamlines(stl)
+    phantom = load_phantom(rec.read("phantom.phn", "phantom"))
+    rows = []
+    for stl in sorted(rec.dir.glob("tracks_*.stl")):
+        algo, _, bundle_name = stl.stem[len("tracks_"):].partition("_")
+        streams, _ = geometry.load_streamlines(rec.read(stl.name, "track"))
         mask = trackeval.voxelize(streams, phantom.grid)
         s = trackeval.score(mask, phantom.mask_for(bundle_name).values)
         rows.append((bundle_name, algo, s))
-        inputs.append(stl)
     rows.sort(key=lambda r: (r[0], r[1]))
-    out = outdir / "scores.tsv"
-    trackeval.write_scores(out, rows)
-    extras = {"n_scored": len(rows), "provenance_warnings": problems}
-    write_manifest(outdir, "evaluate", cfg, inputs, [out], extras, time.time() - t0)
+    trackeval.write_scores(rec.write("scores.tsv"), rows)
+    rec.finish({"n_scored": len(rows), "provenance_warnings": problems})
     return rows
 
 

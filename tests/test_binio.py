@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractfuse import binio, eds, geometry, nn, phantom
+from tractfuse import agents, binio, eds, geometry, nn, phantom
 from tractfuse.env import STATE_DIM
 
 NAMES = ("bundle_a", "b", "bündel", "")
@@ -50,7 +50,7 @@ def write_eds(path, rng):
             states=rng.normal(size=(t, STATE_DIM)).astype(np.float32),
             actions=rng.normal(size=(t, 3)).astype(np.float32),
             rewards=rewards, rtg=eds.compute_rtg(rewards),
-            policy_id=str(rng.choice(eds.POLICY_ORDER)),
+            policy_id=str(rng.choice(agents.ALGOS)),
             streamline=rng.normal(size=(t + 1, 3)).astype(np.float32),
             bundle_name=str(rng.choice(NAMES))))
     eds.save_records(records, path)
@@ -59,7 +59,7 @@ def write_eds(path, rng):
 def write_ckp(path, rng):
     tensors = {f"t{i}.{rng.choice(NAMES)}": rng.normal(size=rng.integers(0, 3, rng.integers(0, 3)))
                for i in range(rng.integers(1, 4))}
-    nn.save_checkpoint(path, tensors, meta={"algo": str(rng.choice(eds.POLICY_ORDER))})
+    nn.save_checkpoint(path, tensors, meta={"algo": str(rng.choice(agents.ALGOS))})
 
 
 FORMATS = {
@@ -119,7 +119,7 @@ def patched(tmp_path, fmt, offset, value):
 
 
 def test_eds_unknown_policy_id_is_named(tmp_path):
-    path = patched(tmp_path, "EDS1", 8, len(eds.POLICY_ORDER))
+    path = patched(tmp_path, "EDS1", 8, len(agents.ALGOS))
     with pytest.raises(eds.EdsError, match=f"policy id 3 in {re.escape(str(path))} at offset 8"):
         eds.load_records(path)
 

@@ -218,7 +218,7 @@ def test_eds_manifest_lists_ground_truth(tmp_path):
     cfg = resolve_config(EDS_CROSSING, preset="desk")
     out = tmp_path / "run"
     pipeline.stage_phantom(cfg, out)
-    for i, algo in enumerate(pipeline.POLICY_ALGOS):
+    for i, algo in enumerate(agents.ALGOS):
         agents.PolicyBundle(algo, hidden=16, seed=i).save(out / f"policy_{algo}.ckp")
     pipeline.stage_eds(cfg, out)
     gt = sorted(p.name for p in out.glob("gt_*.stl"))

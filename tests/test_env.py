@@ -437,6 +437,23 @@ def test_zero_action_tracks_and_post_filters(tube_phantom, env_cfg):
         assert not any(s is streams[0] for s in kept)
 
 
+def test_rollout_stores_only_steps_taken(tube_phantom):
+    """A zero action ends its row without a step, so `observe` never sees it
+    and `rollout` stores one transition per step taken, none with a zero
+    action."""
+    cfg = EnvConfig(max_steps=530)
+    mask = tube_phantom.mask_for("tube").values
+    seeds = jittered_seeds(mask, np.argwhere(mask > 0)[::5], 1, np.random.default_rng(4))
+    hints, _ = peak_hints(tube_phantom, seeds)
+    tracker = BatchTracker(tube_phantom, "tube", cfg)
+    buffer = agents.ReplayBuffer(4096)
+    _, total_steps = agents.rollout(HoldCourse(zero_row=0, zero_at=3).act, tracker, seeds,
+                                    hints, buffer)
+    assert tracker.reasons[0] == REASON_NO_DIRECTION and tracker.steps[0] == 3
+    assert buffer.size == total_steps == tracker.steps.sum() < buffer.capacity
+    assert np.linalg.norm(buffer.a[:buffer.size], axis=1).min() > 0
+
+
 # -- seeders ------------------------------------------------------------------
 # Per-seed reference loops: the vectorised seeders must draw the same numbers
 # in the same order, so seeds, hints and the generator state afterwards match.

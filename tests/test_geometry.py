@@ -202,3 +202,14 @@ def test_build_reference_set(tmp_path):
     assert len(refs) == 6
     for r in refs:
         assert len(r) == geo.MDF_POINTS
+
+
+def test_build_reference_set_beyond_pool_takes_whole_pool():
+    """Asking for more references than the pool holds returns every pool
+    streamline once, as asking for exactly the pool size does."""
+    pool = [line(float(i), n=30) for i in range(5)]
+    whole = geo.build_reference_set(pool, count=len(pool))
+    for count in (6, 15):
+        refs = geo.build_reference_set(pool, count=count)
+        assert [r.tobytes() for r in refs] == [r.tobytes() for r in whole]
+    assert sorted(float(r[0, 1]) for r in whole) == [0.0, 1.0, 2.0, 3.0, 4.0]

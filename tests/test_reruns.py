@@ -1,13 +1,14 @@
 """Byte-identical reruns of every stage after train-rl, driven through
 `pipeline` on a tiny tube config. Criterion 10 covers phantom and train-rl;
-this covers eds, pretrain, finetune, mcpft and track, so any change that
-claims the same bytes is checked on each of them."""
+this covers eds, pretrain, finetune, mcpft, track with every actor kind and
+evaluate, so any change that claims the same bytes is checked on each of
+them. Whole manifests are compared, all but their wall time."""
 
 import shutil
 
 import pytest
 
-from tractfuse import pipeline
+from tractfuse import agents, pipeline
 from tractfuse.config import resolve_config
 
 TINY = """\
@@ -48,17 +49,21 @@ STAGES = [
     (f"track-fusion-{BUNDLE}",
      lambda cfg, out: pipeline.stage_track(cfg, out, "fusion", BUNDLE)),
     (f"track-td3-{BUNDLE}", lambda cfg, out: pipeline.stage_track(cfg, out, "td3", BUNDLE)),
+    (f"track-avg-{BUNDLE}", lambda cfg, out: pipeline.stage_track(cfg, out, "avg", BUNDLE)),
+    (f"track-maxq-{BUNDLE}", lambda cfg, out: pipeline.stage_track(cfg, out, "maxq", BUNDLE)),
+    ("evaluate", lambda cfg, out: pipeline.stage_evaluate(cfg, out)),
 ]
 
 
 @pytest.fixture(scope="module")
 def reruns(tmp_path_factory):
     """Two runs of the stages after train-rl, each from a copy of one
-    shared phantom + policies directory; returns {tag: {stage: outputs}}."""
+    shared phantom + policies directory; returns {tag: {stage: manifest}}
+    with each manifest's wall time dropped."""
     cfg = resolve_config(TINY, preset="desk")
     base = tmp_path_factory.mktemp("upstream")
     pipeline.stage_phantom(cfg, base)
-    for algo in pipeline.POLICY_ALGOS:
+    for algo in agents.ALGOS:
         pipeline.stage_train_rl(cfg, base, algo)
     runs = {}
     for tag in ("r1", "r2"):
@@ -66,13 +71,16 @@ def reruns(tmp_path_factory):
         shutil.copytree(base, out)
         for stage, run in STAGES:
             run(cfg, out)
-        runs[tag] = {stage: pipeline.read_manifest(out, stage)["outputs"]
-                     for stage, _ in STAGES}
+        runs[tag] = {}
+        for stage, _ in STAGES:
+            manifest = pipeline.read_manifest(out, stage)
+            del manifest["wall_time_s"]
+            runs[tag][stage] = manifest
     return runs
 
 
 @pytest.mark.parametrize("stage", [s for s, _ in STAGES])
 def test_stage_rerun_byte_identical(reruns, stage):
     first, second = reruns["r1"][stage], reruns["r2"][stage]
-    assert first, f"{stage} recorded no outputs"
+    assert first["outputs"], f"{stage} recorded no outputs"
     assert first == second
