@@ -84,15 +84,6 @@ class ReplayBuffer:
         return self.s[pick], self.a[pick], self.r[pick], self.s2[pick], self.d[pick]
 
 
-def _mlp_forward_np(mlp, x):
-    """Raw numpy forward of an Mlp (inference fast path, no tape)."""
-    h = np.asarray(x, dtype=np.float32)
-    for layer in mlp.layers[:-1]:
-        h = np.maximum(h @ layer.w.data + layer.b.data, 0.0)
-    last = mlp.layers[-1]
-    return h @ last.w.data + last.b.data
-
-
 class PolicyBundle:
     """One trained policy: actor, critic(s), target copies, hyperparameters."""
 
@@ -141,7 +132,7 @@ class PolicyBundle:
         states = np.atleast_2d(np.asarray(states, dtype=np.float32))
         if states.shape[1] != STATE_DIM:
             raise ValueError(f"expected state width {STATE_DIM}, got {states.shape[1]}")
-        raw = _mlp_forward_np(self.actor, states)
+        raw = self.actor.infer(states)
         if mode == "deterministic":
             return np.tanh(raw)
         if rng is None:
@@ -157,7 +148,7 @@ class PolicyBundle:
         states = np.atleast_2d(np.asarray(states, dtype=np.float32))
         actions = np.atleast_2d(np.asarray(actions, dtype=np.float32))
         x = np.concatenate([states, actions], axis=1)
-        qs = [_mlp_forward_np(c, x)[:, 0] for c in self.critics]
+        qs = [c.infer(x)[:, 0] for c in self.critics]
         return np.min(qs, axis=0)
 
     # -- parameter access -----------------------------------------------------
@@ -247,23 +238,23 @@ def _update_critics(bundle, opt, batch, rng):
     h = bundle.hyper
     # target actions and TD targets (no tape needed)
     if bundle.algo == "ddpg":
-        a2 = np.tanh(_mlp_forward_np(bundle.target_actor, s2))
+        a2 = np.tanh(bundle.target_actor.infer(s2))
         extra = 0.0
     elif bundle.algo == "td3":
-        a2 = np.tanh(_mlp_forward_np(bundle.target_actor, s2))
+        a2 = np.tanh(bundle.target_actor.infer(s2))
         noise = np.clip(rng.normal(0.0, h.sigma, size=a2.shape),
                         -h.smoothing_clip, h.smoothing_clip)
         a2 = np.clip(a2 + noise, -1.0, 1.0)
         extra = 0.0
     else:  # sac
-        raw = _mlp_forward_np(bundle.actor, s2)
+        raw = bundle.actor.infer(s2)
         std = np.exp(bundle.log_std.data)
         u = raw + std * rng.standard_normal(raw.shape)
         a2 = np.tanh(u)
         lp = sac_log_prob(raw, bundle.log_std.data, a2).sum(axis=-1)
         extra = -h.alpha * lp
     x2 = np.concatenate([s2, a2], axis=1).astype(np.float32)
-    q2 = np.min([_mlp_forward_np(c, x2)[:, 0] for c in bundle.target_critics], axis=0)
+    q2 = np.min([c.infer(x2)[:, 0] for c in bundle.target_critics], axis=0)
     y = r + h.gamma * (1.0 - d) * (q2 + extra)
 
     xt = Tensor(np.concatenate([s, a], axis=1))

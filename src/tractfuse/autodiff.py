@@ -39,6 +39,12 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled():
+    """False inside `no_grad`: ops record nothing, so layers may take their
+    tape-free numpy path."""
+    return _GRAD_ENABLED
+
+
 @contextlib.contextmanager
 def frozen(tensors):
     """Clear `requires_grad` on `tensors` inside the block; the old flags
@@ -297,10 +303,18 @@ class Tensor:
 
 # -- elementwise primitives ---------------------------------------------------
 
+def relu_np(x, out=None):
+    """ReLU of a numpy array, bit-equal to `np.where(x > 0, x, 0)`: `fmax`
+    maps NaN and -inf to 0, and adding +0 turns a -0 from `fmax` into +0."""
+    zero = x.dtype.type(0)
+    out = np.fmax(x, zero, out=out)
+    return np.add(out, zero, out=out)
+
+
 def relu(x):
     x = Tensor.as_tensor(x)
     mask = x.data > 0
-    return Tensor._make(np.where(mask, x.data, 0), (x,), lambda g: (g * mask,))
+    return Tensor._make(relu_np(x.data), (x,), lambda g: (g * mask,))
 
 
 def tanh(x):

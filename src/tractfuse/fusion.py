@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import Tensor, arccos_clamped, concat, frozen, minimum, no_grad, sqrt, tanh
+from .autodiff import (Tensor, arccos_clamped, concat, frozen, grad_enabled, minimum, no_grad,
+                       sqrt, tanh)
 from .env import ACTION_DIM, BatchTracker, STATE_DIM
 
 
@@ -115,6 +116,8 @@ class FusionModel:
         rtg: (B,T); states: (B,T,334); actions: (B,T,3) recorded actions
         (teacher forcing; causality keeps a_t hidden from its own prediction).
         pad_mask: (B,T) with 1 = real timestep. Returns a (B,T,3) tensor.
+        With the tape off and not training it runs the numpy path of `nn`,
+        which gives the same bits.
         """
         rtg = np.asarray(rtg, dtype=np.float32)
         b, t = rtg.shape
@@ -122,21 +125,44 @@ class FusionModel:
             raise FusionError(f"window of {t} timesteps exceeds context {self.config.context}")
         if t < 1:
             raise FusionError("empty window")
-        e_r = self.embed_rtg(Tensor(rtg[..., None]))
-        e_s = self.embed_state(Tensor(np.asarray(states, dtype=np.float32)))
-        e_a = self.embed_action(Tensor(np.asarray(actions, dtype=np.float32)))
-        # interleave to (B, 3T, width)
-        tok = concat([e_r.reshape(b, t, 1, -1), e_s.reshape(b, t, 1, -1),
-                      e_a.reshape(b, t, 1, -1)], axis=2).reshape(b, 3 * t, -1)
+        states = np.asarray(states, dtype=np.float32)
+        actions = np.asarray(actions, dtype=np.float32)
         tok_mask = None
         if pad_mask is not None:
             tok_mask = np.repeat(np.asarray(pad_mask), 3, axis=1)
+        if not grad_enabled() and not training:
+            return Tensor(self._infer(rtg, states, actions, tok_mask))
+        e_r = self.embed_rtg(Tensor(rtg[..., None]))
+        e_s = self.embed_state(Tensor(states))
+        e_a = self.embed_action(Tensor(actions))
+        # interleave to (B, 3T, width)
+        tok = concat([e_r.reshape(b, t, 1, -1), e_s.reshape(b, t, 1, -1),
+                      e_a.reshape(b, t, 1, -1)], axis=2).reshape(b, 3 * t, -1)
         rng = rng if rng is not None else np.random.default_rng(0)
         out = self.gpt(tok, training=training, rng=rng, pad_mask=tok_mask)
         state_tok = out.reshape(b, t, 3, -1)[:, :, 1, :]
         raw = tanh(self.head(state_tok))
         norm = sqrt((raw * raw).sum(axis=-1, keepdims=True) + 1e-8)
         return raw / norm
+
+    def _infer(self, rtg, states, actions, tok_mask):
+        """`predict_actions` as numpy, for float32 inputs; the model is
+        entered through `GptBlockStack.__call__`, which runs its numpy path."""
+        b, t = rtg.shape
+        tok = np.empty((b, t, 3, self.config.width), dtype=np.float32)
+        tok[:, :, 0] = self.embed_rtg.infer(rtg[..., None])
+        tok[:, :, 1] = self.embed_state.infer(states)
+        tok[:, :, 2] = self.embed_action.infer(actions)
+        out = self.gpt(tok.reshape(b, 3 * t, -1), pad_mask=tok_mask).data
+        del tok
+        raw = self.head.infer(out.reshape(b, t, 3, -1)[:, :, 1, :].copy())
+        del out
+        np.tanh(raw, out=raw)
+        norm = (raw * raw).sum(axis=-1, keepdims=True)
+        norm += np.float32(1e-8)
+        np.sqrt(norm, out=norm)
+        raw /= norm
+        return raw
 
     def act(self, rtg, states, actions, pad_mask=None):
         """Numpy action for the latest timestep of each window (inference)."""
@@ -238,7 +264,13 @@ def finetune(model, records, schedule=FINETUNE_SCHEDULE, seed=0):
 
 class FusionTracker:
     """Rolling-window driver: tracks episodes in the env with the fusion
-    policy, conditioning on a decaying return-to-go (floored at zero)."""
+    policy, conditioning on a decaying return-to-go (floored at zero).
+
+    `FusionModel.act` gives a row the same bytes in any batch (every product
+    is a per-window 3-D matmul), so the chunk size only bounds the memory of
+    one call."""
+
+    CHUNK = 64
 
     def __init__(self, model, phantom, bundle_name, env_cfg, rtg0=300.0):
         self.model = model
@@ -259,21 +291,20 @@ class FusionTracker:
 
         def act(states):
             act_idx = np.nonzero(self.tracker.active)[0]
-            # slide the window left and append the current timestep; before the
-            # window fills this just shifts padding out on the left
-            valid[act_idx] = np.roll(valid[act_idx], -1, axis=1)
-            r_buf[act_idx] = np.roll(r_buf[act_idx], -1, axis=1)
-            s_buf[act_idx] = np.roll(s_buf[act_idx], -1, axis=1)
-            a_buf[act_idx] = np.roll(a_buf[act_idx], -1, axis=1)
+            # slide the window left one slot at a time and append the current
+            # timestep; before the window fills this shifts padding out on
+            # the left
+            for buf in (valid, r_buf, s_buf, a_buf):
+                for j in range(c - 1):
+                    buf[act_idx, j] = buf[act_idx, j + 1]
             r_buf[act_idx, -1] = rtg[act_idx]
             s_buf[act_idx, -1] = states[act_idx]
             a_buf[act_idx, -1] = 0.0
             valid[act_idx, -1] = 1.0
 
             actions = np.zeros((n, ACTION_DIM))
-            chunk = 256
-            for lo in range(0, len(act_idx), chunk):
-                rows = act_idx[lo:lo + chunk]
+            for lo in range(0, len(act_idx), self.CHUNK):
+                rows = act_idx[lo:lo + self.CHUNK]
                 actions[rows] = self.model.act(r_buf[rows], s_buf[rows], a_buf[rows],
                                                pad_mask=valid[rows])
             return actions

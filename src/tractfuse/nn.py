@@ -8,6 +8,12 @@ An `AdamW` owns the storage of the parameters it trains: their `data` are
 views into its flat buffer. Anything that writes a parameter (the optimizer,
 `assign_params`, target-net soft updates) writes `p.data` in place; rebinding
 `p.data` detaches the parameter from its optimizer.
+
+Each layer also has `infer`, a tape-free numpy forward for inference. It
+works in place, frees each temporary once used, and gives the taped
+forward's bits: it keeps the tape's operands (contiguous copies where
+`Tensor.__getitem__` and `Tensor.swapaxes` copy, float32 scalars where
+`Tensor.as_tensor` casts one) and its operation order.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import struct
 import numpy as np
 
 from . import binio
-from .autodiff import Tensor, concat, dropout, layernorm, relu, softmax
+from .autodiff import Tensor, concat, dropout, grad_enabled, layernorm, relu, relu_np, softmax
 
 CKP_MAGIC = b"CKP1"
 _META_PREFIX = "__meta__/"
@@ -46,6 +52,11 @@ class Linear:
     def __call__(self, x):
         return x @ self.w + self.b
 
+    def infer(self, x):
+        y = np.matmul(x, self.w.data)
+        y += self.b.data
+        return y
+
     def params(self, prefix):
         return {prefix + ".w": self.w, prefix + ".b": self.b}
 
@@ -71,6 +82,16 @@ class Mlp:
             x = relu(layer(x))
         return self.layers[-1](x)
 
+    def infer(self, x):
+        """Tape-free forward of a float32 batch. The hidden ReLUs are
+        `np.maximum`, which keeps a NaN, so a non-finite input still reaches
+        the caller's finiteness check."""
+        h = np.asarray(x, dtype=np.float32)
+        for layer in self.layers[:-1]:
+            h = layer.infer(h)
+            np.maximum(h, 0.0, out=h)
+        return self.layers[-1].infer(h)
+
     def params(self, prefix=""):
         out = {}
         for i, layer in enumerate(self.layers):
@@ -85,6 +106,20 @@ class LayerNorm:
 
     def __call__(self, x):
         return layernorm(x) * self.g + self.b
+
+    def infer(self, x):
+        """`layernorm(x) * g + b` into a new array; `x` is left as it is."""
+        y = x - x.mean(axis=-1, keepdims=True)
+        sq = y * y
+        inv = sq.mean(axis=-1, keepdims=True)  # the variance, inverted in place
+        del sq
+        inv += 1e-5  # layernorm's eps
+        np.sqrt(inv, out=inv)
+        np.divide(1.0, inv, out=inv)
+        y *= inv
+        y *= self.g.data
+        y += self.b.data
+        return y
 
     def params(self, prefix):
         return {prefix + ".g": self.g, prefix + ".b": self.b}
@@ -111,6 +146,26 @@ class CausalSelfAttention:
         att = dropout(att, self.p_drop, rng, training)
         return self.proj(att @ v)
 
+    def infer(self, x, causal_bias, pad_bias):
+        d = self.width
+        qkv = self.qkv.infer(x)
+        q = qkv[..., :d].copy()
+        k_t = qkv[..., d:2 * d].swapaxes(-1, -2).copy()
+        v = qkv[..., 2 * d:].copy()
+        del qkv
+        att = np.matmul(q, k_t)
+        del q, k_t
+        att *= np.float32(1.0 / np.sqrt(d))
+        att += causal_bias
+        if pad_bias is not None:
+            att += pad_bias
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        y = np.matmul(att, v)
+        del att, v
+        return self.proj.infer(y)
+
     def params(self, prefix):
         out = self.qkv.params(prefix + ".qkv")
         out.update(self.proj.params(prefix + ".proj"))
@@ -131,6 +186,14 @@ class TransformerBlock:
         h = relu(self.fc(self.ln2(x)))
         h = dropout(self.fc_out(h), self.p_drop, rng, training)
         return x + h
+
+    def infer(self, x, causal_bias, pad_bias):
+        """Updates `x` in place."""
+        x += self.attn.infer(self.ln1.infer(x), causal_bias, pad_bias)
+        h = self.fc.infer(self.ln2.infer(x))
+        relu_np(h, out=h)
+        x += self.fc_out.infer(h)
+        return x
 
     def params(self, prefix):
         out = {}
@@ -159,13 +222,33 @@ class GptBlockStack:
         self.ln_f = LayerNorm(width)
 
     def __call__(self, tok_emb, training=False, rng=None, pad_mask=None):
+        """Taped forward; with the tape off (`no_grad`) and not training, the
+        numpy path `infer`, wrapped in an untracked Tensor."""
+        if not grad_enabled() and not training:
+            return Tensor(self.infer(tok_emb, pad_mask))
         tok_emb = Tensor.as_tensor(tok_emb)
+        causal, pad_bias = self._biases(tok_emb, pad_mask)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        x = tok_emb + self.pos[:tok_emb.shape[-2]]
+        for block in self.blocks:
+            x = block(x, causal, pad_bias, rng, training)
+        return self.ln_f(x)
+
+    def infer(self, tok_emb, pad_mask=None):
+        tok_emb = Tensor.as_tensor(tok_emb).data
+        causal, pad_bias = self._biases(tok_emb, pad_mask)
+        x = tok_emb + self.pos.data[:tok_emb.shape[-2]]
+        for block in self.blocks:
+            x = block.infer(x, causal, pad_bias)
+        return self.ln_f.infer(x)
+
+    def _biases(self, tok_emb, pad_mask):
+        """The causal (t, t) and padding (batch, t, t) additive masks."""
         t = tok_emb.shape[-2]
         if tok_emb.shape[-1] != self.width:
             raise ValueError(f"GptBlockStack expects width {self.width}, got {tok_emb.shape[-1]}")
         if t > self.n_tokens:
             raise ValueError(f"sequence of {t} tokens exceeds window {self.n_tokens}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         dt = tok_emb.dtype
         causal = np.where(np.tri(t, dtype=bool), 0.0, -1e9).astype(dt)
         pad_bias = None
@@ -175,10 +258,7 @@ class GptBlockStack:
             pad_bias = np.broadcast_to(pad_bias, (pad_bias.shape[0], t, t)).copy()
             # keep the diagonal open so fully padded query rows stay finite
             pad_bias[:, np.arange(t), np.arange(t)] = 0.0
-        x = tok_emb + self.pos[:t]
-        for block in self.blocks:
-            x = block(x, causal, pad_bias, rng, training)
-        return self.ln_f(x)
+        return causal, pad_bias
 
     def params(self, prefix=""):
         out = {prefix + "pos": self.pos}

@@ -7,6 +7,7 @@ manifest lists exactly the files the stage read and wrote."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -290,6 +291,7 @@ def verify_provenance(outdir):
     """Recheck every manifest's recorded input hashes; returns mismatches."""
     outdir = Path(outdir)
     problems = []
+    sha256 = functools.cache(_sha256)  # a file listed by many manifests is hashed once
     for mpath in sorted(outdir.glob("manifest_*.json")):
         with open(mpath) as f:
             manifest = json.load(f)
@@ -297,7 +299,7 @@ def verify_provenance(outdir):
             path = outdir / name
             if not path.exists():
                 problems.append(f"{mpath.name}: input {name} missing")
-            elif _sha256(path) != recorded:
+            elif sha256(path) != recorded:
                 problems.append(f"{mpath.name}: input {name} hash mismatch")
     return problems
 

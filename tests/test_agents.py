@@ -67,8 +67,8 @@ def test_q_value_twin_minimum():
     p = PolicyBundle("td3", hidden=8, seed=0)
     s, a = states(5), RNG.uniform(-1, 1, size=(5, 3)).astype(np.float32)
     x = np.concatenate([s, a], axis=1)
-    q0 = agents._mlp_forward_np(p.critics[0], x)[:, 0]
-    q1 = agents._mlp_forward_np(p.critics[1], x)[:, 0]
+    q0 = p.critics[0].infer(x)[:, 0]
+    q1 = p.critics[1].infer(x)[:, 0]
     np.testing.assert_allclose(p.q_value(s, a), np.minimum(q0, q1), rtol=1e-6)
 
 
@@ -122,11 +122,11 @@ def test_soft_update_in_place_bit_equal(algo):
 
 def _act_two_forwards(p, s, mode, rng):
     """`PolicyBundle.act` as it was, with a second actor forward for SAC."""
-    mean = np.tanh(agents._mlp_forward_np(p.actor, s))
+    mean = np.tanh(p.actor.infer(s))
     if mode == "deterministic":
         return mean
     if p.algo == "sac":
-        raw = agents._mlp_forward_np(p.actor, s)
+        raw = p.actor.infer(s)
         return np.tanh(raw + np.exp(p.log_std.data) * rng.standard_normal(raw.shape))
     return np.clip(mean + rng.normal(0.0, p.hyper.sigma, size=mean.shape), -1.0, 1.0)
 
@@ -139,13 +139,13 @@ def test_act_one_forward_same_actions(algo, mode, monkeypatch):
     expect_rng = np.random.default_rng(11)
     expect = _act_two_forwards(p, s, mode, expect_rng)
     forwards = []
-    original = agents._mlp_forward_np
+    original = nn.Mlp.infer
 
     def counting(mlp, x):
         forwards.append(mlp)
         return original(mlp, x)
 
-    monkeypatch.setattr(agents, "_mlp_forward_np", counting)
+    monkeypatch.setattr(nn.Mlp, "infer", counting)
     rng = np.random.default_rng(11)
     got = p.act(s, mode=mode, rng=rng)
     assert forwards == [p.actor]
@@ -169,7 +169,7 @@ def test_sac_sample_logp_matches_numpy_density():
     s = states(6)
     from tractfuse.autodiff import Tensor
     a, logp = agents._sac_sample(p, Tensor(s), np.random.default_rng(0))
-    raw = agents._mlp_forward_np(p.actor, s)
+    raw = p.actor.infer(s)
     expect = sac_log_prob(raw, p.log_std.data, a.data).sum(axis=-1)
     np.testing.assert_allclose(logp.data, expect, rtol=1e-3, atol=1e-3)
 
@@ -309,7 +309,7 @@ def test_gamma_zero_target_is_reward():
     opt = nn.AdamW(p.critic_params(), lr=0.0)
     loss = agents._update_critics(p, opt, batch, np.random.default_rng(0))
     s, a, r, _, _ = batch
-    q = agents._mlp_forward_np(p.critics[0], np.concatenate([s, a], axis=1))[:, 0]
+    q = p.critics[0].infer(np.concatenate([s, a], axis=1))[:, 0]
     assert loss == pytest.approx(float(np.mean((q - r) ** 2)), rel=1e-5)
 
 
@@ -319,7 +319,7 @@ def test_done_transition_target_is_reward_any_gamma():
     opt = nn.AdamW(p.critic_params(), lr=0.0)
     loss = agents._update_critics(p, opt, batch, np.random.default_rng(0))
     s, a, r, _, _ = batch
-    q = agents._mlp_forward_np(p.critics[0], np.concatenate([s, a], axis=1))[:, 0]
+    q = p.critics[0].infer(np.concatenate([s, a], axis=1))[:, 0]
     assert loss == pytest.approx(float(np.mean((q - r) ** 2)), rel=1e-5)
 
 

@@ -1,8 +1,11 @@
 """Gradient checks for every differentiable primitive (float64 graphs vs
 central finite differences) plus tape-mechanics unit tests."""
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_diff_grad, rel_err
 from tractfuse import autodiff as ad
@@ -242,3 +245,32 @@ def test_basic_slice_backward_bit_equal_to_add_at(idx):
     np.add.at(ref, idx, g)
     assert x.grad.dtype == np.float32
     assert x.grad.tobytes() == ref.tobytes()
+
+
+# -- relu kernel --------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_bits_equal_where_on_special_values(dtype):
+    """`fmax(x, 0) + 0` gives the bytes of `np.where(x > 0, x, 0)` on +-0,
+    NaN, +-inf, subnormals and the extremes."""
+    fi = np.finfo(dtype)
+    x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, fi.smallest_subnormal,
+                  -fi.smallest_subnormal, fi.tiny / 4, -fi.tiny / 4, fi.tiny, -fi.tiny,
+                  fi.max, -fi.max, 1.0, -1.0], dtype=dtype)
+    expect = np.where(x > 0, x, 0)
+    big = RNG.normal(size=(16, 24, 128)).astype(dtype)
+    for arr, want in ((x, expect), (big, np.where(big > 0, big, 0))):
+        for got in (ad.relu(arr).data, ad.relu_np(arr)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_relu_bits_equal_where(data, dtype):
+    x = data.draw(hnp.arrays(dtype, hnp.array_shapes(max_dims=3, max_side=20),
+                             elements=st.floats(width=np.finfo(dtype).bits)))
+    expect = np.where(x > 0, x, 0)
+    assert ad.relu(x).data.tobytes() == expect.tobytes()
+    out = x.copy()
+    assert ad.relu_np(out, out=out) is out
+    assert out.tobytes() == expect.tobytes()

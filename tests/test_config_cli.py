@@ -196,6 +196,34 @@ def test_provenance_detects_tamper(tmp_path, cfg_file, capsys):
     assert any("hash mismatch" in p for p in problems)
 
 
+def test_provenance_hashes_each_input_once(tmp_path, monkeypatch):
+    """Four manifests list the same files; each file is hashed once, and
+    every manifest still reports its own problems."""
+    cfg = resolve_config(DESK_TUBE, preset="desk")
+    a, b, c = (tmp_path / f"{x}.bin" for x in "abc")
+    for path in (a, b, c):
+        path.write_bytes(path.name.encode())
+    for i in range(3):
+        pipeline.write_manifest(tmp_path, f"s{i}", cfg, [a, b], [])
+    pipeline.write_manifest(tmp_path, "s3", cfg, [a, c], [])
+    b.write_bytes(b"tampered")
+    c.unlink()
+    hashed = []
+    original = pipeline._sha256
+
+    def counting(path):
+        hashed.append(path)
+        return original(path)
+
+    monkeypatch.setattr(pipeline, "_sha256", counting)
+    assert pipeline.verify_provenance(tmp_path) == [
+        "manifest_s0.json: input b.bin hash mismatch",
+        "manifest_s1.json: input b.bin hash mismatch",
+        "manifest_s2.json: input b.bin hash mismatch",
+        "manifest_s3.json: input c.bin missing"]
+    assert sorted(hashed) == [a, b]
+
+
 EDS_CROSSING = """\
 phantom.kind = crossing-pair
 phantom.dims = 16,16,8

@@ -1,14 +1,19 @@
 """Fusion-policy tests: causal masking, angular-loss oracles, finetune
 freezing, critic-augmented actor loss decomposition, and update counters."""
 
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import keep_all_on_tape
 from tractfuse import agents, eds, fusion
 from tractfuse.autodiff import Tensor
 from tractfuse.eds import TrajectoryRecord, compute_rtg
-from tractfuse.env import STATE_DIM
+from tractfuse.env import ACTION_DIM, STATE_DIM
 from tractfuse.fusion import (FusionConfig, FusionError, FusionModel,
                               FusionTracker, McpftSchedule, TrainSchedule,
                               loss_dist_cos, mcpft_actor_loss, sample_windows)
@@ -90,7 +95,59 @@ def test_act_matches_last_prediction():
     m = tiny_model()
     rtg, s, a = window(b=3)
     pred = m.predict_actions(rtg, s, a).data
-    np.testing.assert_allclose(m.act(rtg, s, a), pred[:, -1, :], atol=1e-7)
+    assert m.act(rtg, s, a).tobytes() == pred[:, -1, :].astype(np.float64).tobytes()
+
+
+# (context, width, blocks) of the benchmark's harvest-track model and of the
+# desk preset's
+SHAPES = [(8, 32, 2), (16, 64, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def shaped_model(context, width, n_blocks):
+    """A model of the given shape with every parameter moved off its
+    initialization, so activations spread over both signs and many scales."""
+    m = FusionModel(FusionConfig(context=context, width=width, n_blocks=n_blocks), seed=3)
+    rng = np.random.default_rng(4)
+    for p in m.params().values():
+        p.data += rng.normal(0.0, 0.3, size=p.shape).astype(np.float32)
+    return m
+
+
+def ragged_windows(b, c, seed):
+    """Windows as `FusionTracker` builds them: each row right-aligned with
+    its own number of real timesteps and zeros in the padding."""
+    rng = np.random.default_rng(seed)
+    real = rng.integers(1, c + 1, size=b)
+    valid = (np.arange(c)[None, :] >= c - real[:, None]).astype(np.float32)
+    rtg = rng.uniform(0, 300, size=(b, c)).astype(np.float32) * valid
+    s = rng.normal(size=(b, c, STATE_DIM)).astype(np.float32) * valid[..., None]
+    a = rng.normal(size=(b, c, ACTION_DIM)).astype(np.float32) * valid[..., None]
+    a[:, -1] = 0.0  # the newest action is not taken yet
+    return rtg, s, a, valid
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from(SHAPES), b=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_act_bytes_equal_taped_forward(shape, b, seed):
+    """The tape-free path of `act` gives the bytes of the taped forward."""
+    m = shaped_model(*shape)
+    rtg, s, a, valid = ragged_windows(b, shape[0], seed)
+    taped = m.predict_actions(rtg, s, a, pad_mask=valid).data[:, -1]
+    assert m.act(rtg, s, a, pad_mask=valid).tobytes() == taped.astype(np.float64).tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(shape=st.sampled_from(SHAPES), b=st.integers(1, 300), data=st.data())
+def test_act_row_subset_invariant(shape, b, data):
+    """A row's action has the same bytes in any batch, so `FusionTracker`
+    may cut the live rows into chunks of any size."""
+    m = shaped_model(*shape)
+    rtg, s, a, valid = ragged_windows(b, shape[0], data.draw(st.integers(0, 2**32 - 1)))
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, b - 1), min_size=1))))
+    full = m.act(rtg, s, a, pad_mask=valid)
+    part = m.act(rtg[rows], s[rows], a[rows], pad_mask=valid[rows])
+    assert part.tobytes() == full[rows].tobytes()
 
 
 # -- angular loss -------------------------------------------------------------
@@ -365,3 +422,21 @@ def test_fusion_tracker_transitions(tube_phantom, env_cfg):
     assert len(s) == len(a) == len(r) == len(s2) == len(d) == n
     assert d.sum() == buf.d.sum() == 2.0  # every episode terminates exactly once
     assert all(x.dtype == np.float32 for x in (s, a, r, s2, d))
+
+
+def test_fusion_tracker_memory_follows_chunk(tube_phantom, env_cfg):
+    """Above its four window buffers, a run's traced peak stays within a few
+    chunks' windows: sliding the windows copies no `n x context` block."""
+    c, n = 32, 300
+    m = FusionModel(FusionConfig(context=c, width=16, n_blocks=1, dropout=0.0), seed=0)
+    mask = np.argwhere(tube_phantom.mask_for("tube").values > 0).astype(np.float64)
+    runner = FusionTracker(m, tube_phantom, "tube", env_cfg, rtg0=10.0)
+    tracemalloc.start()
+    try:
+        streams = runner.run(mask[np.arange(n) % len(mask)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(len(x) for x in streams) > 2
+    per_row = c * (STATE_DIM + ACTION_DIM + 2) * 4
+    assert peak - n * per_row < 4 * FusionTracker.CHUNK * per_row + 2 * 2**20, peak

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff_grad, rel_err
 from tractfuse import nn
-from tractfuse.autodiff import Tensor
+from tractfuse.autodiff import Tensor, no_grad
 
 RNG = np.random.default_rng(3)
 
@@ -102,6 +102,78 @@ def test_gpt_token_overflow_error():
     gpt = nn.GptBlockStack(width=4, n_blocks=1, n_tokens=3, p_drop=0.0, rng=RNG)
     with pytest.raises(ValueError, match="3"):
         gpt(np.zeros((1, 4, 4), dtype=np.float32))
+
+
+# -- tape-free inference ------------------------------------------------------
+
+def spread(params, seed):
+    """Move every parameter off its initialization."""
+    rng = np.random.default_rng(seed)
+    for p in params.values():
+        p.data += rng.normal(0.0, 0.3, size=p.shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("width", [32, 64])
+def test_layer_infer_bytes_equal_taped_forward(width):
+    """Each layer's numpy `infer` gives the bytes of its taped forward and
+    leaves its input as it was (`TransformerBlock.infer` updates it)."""
+    rng = np.random.default_rng(width)
+    b, t = 5, 12
+    gpt = nn.GptBlockStack(width=width, n_blocks=2, n_tokens=t, p_drop=0.1, rng=rng)
+    lin = nn.Linear(width, 7, rng)
+    spread({**gpt.params(), **lin.params("lin")}, width)
+    x = rng.normal(size=(b, t, width)).astype(np.float32)
+    mask = (np.arange(t)[None, :] >= rng.integers(0, t, size=(b, 1))).astype(np.float32)
+    causal, pad = gpt._biases(x, mask)
+    block = gpt.blocks[0]
+    cases = [
+        (lin.infer, lambda v: lin(Tensor(v))),
+        (gpt.ln_f.infer, lambda v: gpt.ln_f(Tensor(v))),
+        (lambda v: block.attn.infer(v, causal, pad),
+         lambda v: block.attn(Tensor(v), causal, pad, None, False)),
+        (lambda v: block.attn.infer(v, causal, None),
+         lambda v: block.attn(Tensor(v), causal, None, None, False)),
+        (lambda v: block.infer(v.copy(), causal, pad),
+         lambda v: block(Tensor(v), causal, pad, None, False)),
+        (lambda v: gpt.infer(v, mask), lambda v: gpt(v, pad_mask=mask)),
+        (gpt.infer, gpt),
+    ]
+    for infer, taped in cases:
+        before = x.tobytes()
+        got = infer(x)
+        assert x.tobytes() == before
+        want = taped(x).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_gpt_call_without_tape_runs_infer(monkeypatch):
+    gpt = nn.GptBlockStack(width=8, n_blocks=1, n_tokens=6, p_drop=0.5,
+                           rng=np.random.default_rng(0))
+    x = RNG.normal(size=(2, 6, 8)).astype(np.float32)
+    calls = []
+    original = nn.GptBlockStack.infer
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(nn.GptBlockStack, "infer", counting)
+    with no_grad():
+        out = gpt(x)
+        gpt(x, training=True, rng=np.random.default_rng(1))  # dropout needs the tape path
+    assert len(calls) == 1
+    assert out.data.tobytes() == gpt(x).data.tobytes()
+    assert out._grad_fn is None and not out.requires_grad
+
+
+def test_mlp_infer_matches_forward_and_keeps_nan():
+    mlp = nn.Mlp(9, 3, hidden=48, rng=np.random.default_rng(2))
+    spread(mlp.params(), 2)
+    x = RNG.normal(size=(6, 9)).astype(np.float32)
+    assert mlp.infer(x).tobytes() == mlp(x).data.tobytes()
+    x[2, 4] = np.nan
+    out = mlp.infer(x)
+    assert np.isnan(out[2]).all() and np.isfinite(np.delete(out, 2, axis=0)).all()
 
 
 # -- AdamW --------------------------------------------------------------------
