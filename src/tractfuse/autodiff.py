@@ -16,6 +16,13 @@ run `backward` after the block has restored the flags; a tensor frozen
 during the forward gets no gradient from that recording. Pruning removes
 only nodes that reach no tracked leaf, so gradients reach trainable leaves
 in the same order and with the same bits as on a full tape.
+
+`backward` releases the recording once its sweep ends: each swept op node
+drops its closure and parents, so a training step's tape and the arrays its
+closures saved are freed even while the caller still holds the loss. A
+released node can be read but not recorded on or swept again; either
+raises `RuntimeError` rather than counting gradients twice or silently
+turning the node into a constant.
 """
 
 from __future__ import annotations
@@ -116,6 +123,8 @@ class Tensor:
         out._grad_fn = None
         if not _GRAD_ENABLED:
             return out
+        if any(p._backward_run for p in parents):
+            raise RuntimeError("op on a tensor whose recording was released by backward")
         needs = [_tracked(p) for p in parents]
         if all(needs):
             out._parents = parents
@@ -148,7 +157,10 @@ class Tensor:
     # -- backward -------------------------------------------------------------
 
     def backward(self, grad=None):
-        """Accumulate gradients into every reachable leaf with requires_grad."""
+        """Accumulate gradients into every reachable leaf with requires_grad,
+        then release the recording: every swept op node drops its backward
+        closure and parents. A second `backward` on the root or on a swept
+        node raises `RuntimeError`, and so does recording a new op on one."""
         if self._backward_run:
             raise RuntimeError("backward already run on this recording")
         self._backward_run = True
@@ -185,6 +197,14 @@ class Tensor:
             for p, pg in zip(node._parents, node._grad_fn(g)):
                 key = id(p)
                 grads[key] = pg if key not in grads else grads[key] + pg
+
+        # release the recording: the closures and their saved arrays die
+        # here, however long the caller keeps the root or an interior node.
+        # One pass after the sweep: freeing node by node while the sweep
+        # still allocates gradients measured slower on desk pretrain.
+        for node in topo:
+            if node._grad_fn is not None:
+                node._grad_fn, node._parents, node._backward_run = None, (), True
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -29,6 +29,22 @@ def _limit_threads(n):
         os.environ[var] = str(n)
 
 
+def _keep_freed_heap():
+    """Have glibc keep freed heap for the next training step. Each step
+    frees its whole tape when `backward` ends; under glibc's defaults large
+    blocks are unmapped on free and the heap top is trimmed, so the next
+    step page-faults the same memory in again. Here blocks up to 32 MiB come
+    from the heap and the heap is never trimmed. A libc without `mallopt`
+    is left as it is."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD
+        mallopt(-1, -1)          # M_TRIM_THRESHOLD: never trim
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="tractfuse",
                                      description="Streamline-tracking fusion pipeline")
@@ -77,6 +93,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.threads:
         _limit_threads(args.threads)  # must happen before numpy loads BLAS
+    _keep_freed_heap()
 
     from . import binio, config, pipeline
 

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,15 +31,32 @@ def rel_err(a, b):
     return np.abs(a - b).max() / denom
 
 
-def tape_nodes(root):
-    """Number of tensors reachable from `root` through the tape."""
-    seen, stack = {id(root)}, [root]
+def reachable(root):
+    """Every tensor on the tape below `root`, `root` included."""
+    seen, stack = {id(root): root}, [root]
     while stack:
         for p in stack.pop()._parents:
             if id(p) not in seen:
-                seen.add(id(p))
+                seen[id(p)] = p
                 stack.append(p)
-    return len(seen)
+    return list(seen.values())
+
+
+def tape_nodes(root):
+    """Number of tensors reachable from `root` through the tape."""
+    return len(reachable(root))
+
+
+def traced_peak(fn):
+    """Run `fn()` under tracemalloc; return its result and the traced peak
+    in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 @pytest.fixture()

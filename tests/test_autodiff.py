@@ -1,13 +1,15 @@
 """Gradient checks for every differentiable primitive (float64 graphs vs
 central finite differences) plus tape-mechanics unit tests."""
 
+import weakref
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_grad, rel_err
+from conftest import finite_diff_grad, reachable, rel_err, tape_nodes
 from tractfuse import autodiff as ad
 from tractfuse.autodiff import Tensor
 
@@ -91,11 +93,141 @@ def test_arccos_clamp_region_has_zero_grad():
 
 
 def test_backward_twice_raises():
-    x = Tensor(np.ones(3), requires_grad=True)
-    y = (x * x).sum()
-    y.backward()
-    with pytest.raises(RuntimeError):
-        y.backward()
+    """Neither the root nor a swept interior node can run `backward` again
+    and add its gradients a second time; MCPFT's `sup` is such a node of the
+    loss it returns."""
+    w = Tensor(np.ones(3), requires_grad=True)
+    sup = (w * w).sum()
+    loss = sup + (w * 3.0).sum()
+    loss.backward()
+    for t in (loss, sup):
+        with pytest.raises(RuntimeError):
+            t.backward()
+    np.testing.assert_array_equal(w.grad, 5.0)
+
+
+@pytest.mark.parametrize("op", [
+    lambda t: t * 2.0,
+    lambda t: t + t,
+    lambda t: ad.tanh(t),
+    lambda t: ad.minimum(t, Tensor(np.zeros(()))),
+    lambda t: t[...],
+])
+def test_op_on_released_tensor_raises(op):
+    """Recording on a released node would either run its old graph again or
+    turn it into a constant; both are refused. Reading it is not."""
+    w = Tensor(np.ones(1), requires_grad=True)
+    h = ad.exp(w)
+    loss = (h * h).sum()
+    loss.backward()
+    for t in (loss, h):
+        with pytest.raises(RuntimeError):
+            op(t)
+        with ad.no_grad():
+            assert np.all(np.isfinite(op(t).data))
+    (w * 2.0).sum().backward()  # leaves record as before
+
+
+def test_backward_releases_the_recording():
+    """After `backward` the root reaches no other node, and the arrays the
+    closures saved are freed while the root is still held."""
+    x = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+
+    def build():
+        h = ad.tanh(x @ w)
+        y = ad.exp(h)
+        loss = (y * ad.softmax(h)).sum()
+        return loss, [weakref.ref(h.data), weakref.ref(y.data)]
+
+    loss, refs = build()
+    assert tape_nodes(loss) > 1 and all(r() is not None for r in refs)
+    loss.backward()
+    assert tape_nodes(loss) == 1
+    assert all(r() is None for r in refs)
+    assert x.grad is not None and w.grad is not None
+
+
+def reference_sweep(root):
+    """`Tensor.backward` as it ran before it released the recording: the
+    same topological sweep, leaving the tape in place."""
+    topo, seen = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node.grad = g if node.grad is None else node.grad + g
+        if node._grad_fn is None:
+            continue
+        for p, pg in zip(node._parents, node._grad_fn(g)):
+            key = id(p)
+            grads[key] = pg if key not in grads else grads[key] + pg
+
+
+GRAPH_OPS = [
+    lambda a, b: a + b,
+    lambda a, b: a * b,
+    lambda a, b: a - b,
+    lambda a, b: ad.minimum(a, b),
+    lambda a, b: a @ b,
+    lambda a, b: ad.tanh(a),
+    lambda a, b: ad.relu(a) * 0.5,
+    lambda a, b: ad.softmax(a),
+    lambda a, b: ad.layernorm(a),
+    lambda a, b: ad.concat([a, b], axis=0)[1:5],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=st.lists(st.tuples(st.integers(0, len(GRAPH_OPS) - 1),
+                                  st.integers(0, 64), st.integers(0, 64)),
+                        min_size=1, max_size=12),
+       root_picks=st.lists(st.integers(0, 64), min_size=1, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_release_keeps_leaf_grads_bit_equal(program, root_picks, seed):
+    """Random graphs where nodes feed several ops and paths rejoin: leaf
+    gradients after `backward` are bit-equal to the sweep that keeps the
+    tape, and every swept op node is released."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(4, 4)) for _ in range(3)]
+
+    def build():
+        leaves = [Tensor(a, requires_grad=i < 2) for i, a in enumerate(arrays)]
+        nodes = list(leaves)
+        for op, i, j in program:
+            nodes.append(GRAPH_OPS[op](nodes[i % len(nodes)], nodes[j % len(nodes)]))
+        root = nodes[-1].sum()
+        for k in root_picks:
+            root = root + nodes[k % len(nodes)].sum()
+        return leaves, root
+
+    want_leaves, want_root = build()
+    reference_sweep(want_root)
+    leaves, root = build()
+    swept = reachable(root)
+    root.backward()
+    assert root.data.tobytes() == want_root.data.tobytes()
+    for got, want in zip(leaves, want_leaves):
+        assert (got.grad is None) == (want.grad is None)
+        if got.grad is not None:
+            assert got.grad.tobytes() == want.grad.tobytes()
+    assert tape_nodes(root) == 1
+    assert all(n._grad_fn is None and n._parents == () for n in swept)
 
 
 def test_backward_nonscalar_needs_grad():

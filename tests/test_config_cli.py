@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,23 @@ def test_stage_imports_leave_slow_scipy_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("with_mallopt", [True, False])
+def test_cli_sets_mallopt_or_skips_it(tmp_path, cfg_file, monkeypatch, with_mallopt):
+    """A stage runs whether or not the libc has `mallopt` (glibc has it; a
+    stand-in for `ctypes.CDLL(None)` either records the calls or lacks it)."""
+    import ctypes
+
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda *a: calls.append(a)) if with_mallopt \
+        else SimpleNamespace()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert cli.main(["--preset", "desk", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "o"), "phantom"]) == 0
+    assert (tmp_path / "o" / "manifest_phantom.json").exists()
+    # M_MMAP_THRESHOLD = 32 MiB, M_TRIM_THRESHOLD = -1 (never trim)
+    assert calls == ([(-3, 32 * 2**20), (-1, -1)] if with_mallopt else [])
 
 
 # -- config -------------------------------------------------------------------

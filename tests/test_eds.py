@@ -1,7 +1,6 @@
 """Episodic-data-selection tests: return-to-go, filters, normalized-Q
 across-policy selection, harvest determinism, and the dataset file format."""
 
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from tractfuse import eds
 from tractfuse.eds import (EdsError, HarvestSpec, TrajectoryRecord, compute_rtg,
                            across_policy_select, length_filter,
@@ -362,13 +362,9 @@ def test_harvest_memory_follows_steps_taken(tube_phantom, tiny_policies):
     policies = {"td3": tiny_policies["td3"], "sac": StraightActor(),
                 "ddpg": tiny_policies["ddpg"]}
     spec = HarvestSpec(window=4, seeds_per_voxel=4)
-    tracemalloc.start()
-    try:
-        grouped = eds.harvest(policies, tube_phantom, "tube", (8, 4, 4), spec,
-                              EnvConfig(max_steps=530), np.random.default_rng(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    grouped, peak = traced_peak(lambda: eds.harvest(
+        policies, tube_phantom, "tube", (8, 4, 4), spec, EnvConfig(max_steps=530),
+        np.random.default_rng(0)))
     steps = sum(r.length for recs in grouped.values() for r in recs)
     assert max(r.length for r in grouped["sac"]) > 20
     assert peak < 4 * steps * (STATE_DIM + 5) * 4 + 2 * 2**20, (peak, steps)

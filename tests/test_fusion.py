@@ -2,14 +2,13 @@
 freezing, critic-augmented actor loss decomposition, and update counters."""
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keep_all_on_tape
+from conftest import keep_all_on_tape, traced_peak
 from tractfuse import agents, eds, fusion
 from tractfuse.autodiff import Tensor
 from tractfuse.eds import TrajectoryRecord, compute_rtg
@@ -395,6 +394,29 @@ def test_mcpft_empty_dataset_rejected(tube_phantom, env_cfg, tiny_policies):
                      env_cfg, McpftSchedule(iterations=1), seed=0)
 
 
+@pytest.mark.parametrize("stage", ["supervised", "mcpft"])
+def test_training_holds_one_tape(stage, tiny_policies):
+    """Four consecutive updates peak no higher than one: `backward` releases
+    each step's tape, so a loss still bound from the last step holds none
+    while the next step records."""
+    recs = make_records(n=8, t=12)
+    cfg = FusionConfig(context=8, width=32, n_blocks=2, dropout=0.1)
+
+    def train(updates):
+        m = FusionModel(cfg, seed=0)
+        if stage == "supervised":
+            return fusion.pretrain(m, recs, TrainSchedule(
+                iterations=1, updates_per_iter=updates, batch_size=32, lr=1e-4,
+                warmup=1), seed=0)
+        return fusion.mcpft(m, tiny_policies, recs, None, "tube", None, McpftSchedule(
+            iterations=1, batch_size=32, actor_updates_per_iter=updates,
+            critic_updates_per_iter=0), seed=0)
+
+    _, one = traced_peak(lambda: train(1))
+    _, four = traced_peak(lambda: train(4))
+    assert four < 1.1 * one, (one, four)
+
+
 # -- tracking -----------------------------------------------------------------
 
 def test_fusion_tracker_runs(tube_phantom, env_cfg):
@@ -431,12 +453,7 @@ def test_fusion_tracker_memory_follows_chunk(tube_phantom, env_cfg):
     m = FusionModel(FusionConfig(context=c, width=16, n_blocks=1, dropout=0.0), seed=0)
     mask = np.argwhere(tube_phantom.mask_for("tube").values > 0).astype(np.float64)
     runner = FusionTracker(m, tube_phantom, "tube", env_cfg, rtg0=10.0)
-    tracemalloc.start()
-    try:
-        streams = runner.run(mask[np.arange(n) % len(mask)])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    streams, peak = traced_peak(lambda: runner.run(mask[np.arange(n) % len(mask)]))
     assert max(len(x) for x in streams) > 2
     per_row = c * (STATE_DIM + ACTION_DIM + 2) * 4
     assert peak - n * per_row < 4 * FusionTracker.CHUNK * per_row + 2 * 2**20, peak
