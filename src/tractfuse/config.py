@@ -113,9 +113,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.values[key]
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
     def dims(self):
         return tuple(int(x) for x in str(self.values["phantom.dims"]).split(","))
 
@@ -145,8 +142,6 @@ def parse_config_text(text):
 
 def _coerce(key, raw, errors):
     ref = DEFAULTS[key]
-    if isinstance(ref, bool):
-        return raw.lower() in ("1", "true", "yes")
     try:
         if isinstance(ref, int):
             return int(raw)
@@ -180,8 +175,11 @@ _RANGE_CHECKS = [
     ("fusion.context", lambda v: v >= 5, ">= 5"),
     ("eds.min_transitions", lambda v: v >= 1, ">= 1"),
     ("eds.mdf_threshold_mm", lambda v: v > 0, "> 0"),
+    ("eds.reference_count", lambda v: v >= 1, ">= 1"),
+    ("eds.window", lambda v: v >= 1, ">= 1"),
     ("track.seeds_per_voxel", lambda v: v >= 1, ">= 1"),
     ("track.rtg0", lambda v: v > 0, "> 0"),
+    ("track.post_filter_threshold_mm", lambda v: v > 0, "> 0"),
 ]
 
 

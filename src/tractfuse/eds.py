@@ -146,8 +146,8 @@ def within_policy_filter(records, refs, threshold_mm=MDF_THRESHOLD_MM, voxel_siz
     """Keep records whose streamline is within threshold MDF of any reference."""
     if not refs:
         raise EdsError("within-policy filter needs a nonempty reference set")
-    return [r for r in records
-            if min_mdf_to_refs(r.streamline, refs, voxel_size) <= threshold_mm]
+    keep = min_mdf_to_refs([r.streamline for r in records], refs, voxel_size) <= threshold_mm
+    return [r for r, ok in zip(records, keep) if ok]
 
 
 def trajectory_q_score(policy, record):

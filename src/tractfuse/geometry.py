@@ -41,23 +41,16 @@ def resample(streamline, k):
 
 
 def mdf(a, b, voxel_size=1.0):
-    """Mean direct-flip distance in mm between equally resampled streamlines."""
+    """Mean direct-flip distance in mm between equally resampled streamlines.
+    `a` and `b` are `(..., k, 3)` and broadcast against each other, so one
+    call measures a batch of pairs; the result has the broadcast batch shape."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise GeometryError(f"mdf needs equal point counts, got {a.shape} vs {b.shape}")
-    direct = np.linalg.norm(a - b, axis=1).mean()
-    flipped = np.linalg.norm(a - b[::-1], axis=1).mean()
-    return min(direct, flipped) * voxel_size
-
-
-def _pairwise_mdf(resampled, voxel_size):
-    n = len(resampled)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = mdf(resampled[i], resampled[j], voxel_size)
-    return d
+    direct = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
+    flipped = np.linalg.norm(a - b[..., ::-1, :], axis=-1).mean(axis=-1)
+    return np.minimum(direct, flipped) * voxel_size
 
 
 def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
@@ -69,8 +62,11 @@ def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
     """
     if n > len(pool):
         raise GeometryError(f"cannot sample {n} from pool of {len(pool)}")
-    res = [resample(s, k) for s in pool]
-    dists = _pairwise_mdf(res, voxel_size)
+    res = np.stack([resample(s, k) for s in pool])
+    dists = np.zeros((len(res), len(res)))
+    for i in range(len(res) - 1):
+        # mdf(res[i], res[j]) for j > i; the reversed order can differ in the last bit
+        dists[i, i + 1:] = dists[i + 1:, i] = mdf(res[i], res[i + 1:], voxel_size)
     if start_index is None:
         medoid = int(np.argmin(dists.sum(axis=1)))
         start_index = medoid
@@ -87,15 +83,16 @@ def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
     return [res[i] for i in chosen], chosen
 
 
-def min_mdf_to_refs(streamline, refs, voxel_size=1.0, k=MDF_POINTS):
-    """Minimum MDF (mm) from a streamline to a list of resampled references."""
-    s = resample(streamline, k)
-    r = np.stack([np.asarray(ref, dtype=np.float64) for ref in refs])
-    if r.shape[1:] != s.shape:
-        raise GeometryError(f"mdf needs equal point counts, got {s.shape} vs {r.shape[1:]}")
-    direct = np.linalg.norm(s - r, axis=2).mean(axis=1)
-    flipped = np.linalg.norm(s - r[:, ::-1], axis=2).mean(axis=1)
-    return np.minimum(direct, flipped).min() * voxel_size
+def min_mdf_to_refs(streamlines, refs, voxel_size=1.0, k=MDF_POINTS):
+    """Minimum MDF (mm) from each streamline to a nonempty list of resampled
+    references; an `(N,)` array for N streamlines."""
+    if len(refs) == 0:
+        raise GeometryError("min_mdf_to_refs needs a nonempty reference set")
+    res = np.reshape([resample(s, k) for s in streamlines], (-1, k, 3))
+    best = np.full(len(res), np.inf)
+    for ref in refs:
+        np.minimum(best, mdf(res, ref, voxel_size), out=best)
+    return best
 
 
 # -- STL1 serialization -------------------------------------------------------

@@ -74,7 +74,7 @@ class Mlp:
         self.n_out = n_out
         self.hidden = hidden
 
-    def __call__(self, x, training=False):
+    def __call__(self, x):
         x = Tensor.as_tensor(x)
         if x.shape[-1] != self.n_in:
             raise ValueError(f"Mlp expects input width {self.n_in}, got {x.shape[-1]}")

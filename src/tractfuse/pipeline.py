@@ -60,14 +60,6 @@ def write_manifest(outdir, stage, cfg, inputs, outputs, extras=None, wall_time=0
     return path
 
 
-def read_manifest(outdir, stage):
-    path = Path(outdir) / f"manifest_{stage}.json"
-    if not path.exists():
-        return None
-    with open(path) as f:
-        return json.load(f)
-
-
 class StageRecord:
     """The artifacts one stage run reads and writes in `outdir`. `read` and
     `write` return the path and note it; `finish` writes the stage manifest

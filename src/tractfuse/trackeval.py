@@ -15,7 +15,7 @@ import numpy as np
 from .eds import min_max_normalize
 from .env import BatchTracker, jittered_seeds, peak_hints
 from .fusion import FusionTracker
-from .geometry import MDF_POINTS, min_mdf_to_refs
+from .geometry import min_mdf_to_refs
 
 
 class TrackEvalError(RuntimeError):
@@ -124,8 +124,8 @@ def post_filter(streamlines, refs, threshold_mm, voxel_size=1.0):
     streamlines = [s for s in streamlines if _has_extent(s)]
     if not np.isfinite(threshold_mm):
         return streamlines
-    return [s for s in streamlines
-            if min_mdf_to_refs(s, refs, voxel_size, k=MDF_POINTS) <= threshold_mm]
+    keep = min_mdf_to_refs(streamlines, refs, voxel_size) <= threshold_mm
+    return [s for s, ok in zip(streamlines, keep) if ok]
 
 
 VOXELIZE_SUB_STEP = 0.25  # voxels between samples along a segment

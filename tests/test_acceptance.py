@@ -286,10 +286,9 @@ def test_criterion_05_eds_integrity(capsys, tube_run):
     gt = phantom.bundles["bundle"]
     refs = geometry.build_reference_set(gt, count=min(15, len(gt)),
                                         voxel_size=phantom.grid.voxel_size)
-    for r in fin:
-        assert r.length >= 47
-        assert geometry.min_mdf_to_refs(r.streamline, refs,
-                                        phantom.grid.voxel_size) <= 5.0
+    assert all(r.length >= 47 for r in fin)
+    assert np.all(geometry.min_mdf_to_refs([r.streamline for r in fin], refs,
+                                           phantom.grid.voxel_size) <= 5.0)
     for r in pre + fin:
         np.testing.assert_array_equal(r.rtg, eds.compute_rtg(r.rewards))
 

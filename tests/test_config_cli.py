@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from tractfuse import agents, cli, eds, pipeline
-from tractfuse.config import (DEFAULTS, ConfigError, parse_config_text,
-                              resolve_config)
+from tractfuse.config import (_RANGE_CHECKS, DEFAULTS, ConfigError,
+                              parse_config_text, resolve_config)
 from tractfuse.eds import EdsError
 from tractfuse.env import STATE_DIM
 
@@ -69,8 +69,9 @@ def test_desk_preset_overrides():
 
 
 def test_file_overrides_preset():
-    cfg = resolve_config("rl.batches = 9", preset="desk")
+    cfg = resolve_config("rl.batches = 9\ntrack.post_filter_threshold_mm = inf", preset="desk")
     assert cfg["rl.batches"] == 9
+    assert cfg["track.post_filter_threshold_mm"] == np.inf  # inf turns the post-filter off
 
 
 def test_unknown_preset_rejected():
@@ -78,10 +79,19 @@ def test_unknown_preset_rejected():
         resolve_config("", preset="datacenter")
 
 
-def test_gamma_out_of_range_names_key_and_bound():
+@pytest.mark.parametrize("key,value", [
+    ("td3.gamma", "1.5"),
+    ("eds.reference_count", "0"),
+    ("eds.reference_count", "-2"),
+    ("eds.window", "0"),
+    ("track.post_filter_threshold_mm", "nan"),
+    ("track.post_filter_threshold_mm", "-1"),
+])
+def test_gamma_out_of_range_names_key_and_bound(key, value):
     with pytest.raises(ConfigError) as e:
-        resolve_config("td3.gamma = 1.5")
-    assert "td3.gamma" in str(e.value) and "1" in str(e.value)
+        resolve_config(f"{key} = {value}")
+    bound = {k: b for k, _, b in _RANGE_CHECKS}[key]
+    assert f"key '{key}'" in str(e.value) and bound in str(e.value)
 
 
 def test_duplicate_key_rejected():
@@ -269,7 +279,7 @@ def test_eds_manifest_lists_ground_truth(tmp_path):
     pipeline.stage_eds(cfg, out)
     gt = sorted(p.name for p in out.glob("gt_*.stl"))
     assert gt == ["gt_bundle_a.stl", "gt_bundle_b.stl"]
-    assert set(gt) <= set(pipeline.read_manifest(out, "eds")["inputs"])
+    assert set(gt) <= set(json.loads((out / "manifest_eds.json").read_text())["inputs"])
     assert pipeline.verify_provenance(out) == []
     for name in gt:
         path = out / name

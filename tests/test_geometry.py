@@ -94,7 +94,7 @@ def test_mdf_symmetric_nonnegative_reversal_invariant(seed):
 
 # -- farthest sampling --------------------------------------------------------
 
-def farthest_oracle(pool, n, start_index):
+def farthest_oracle(pool, n, start_index, voxel_size=1.0):
     """Brute-force greedy max-min selection (lowest-index tie-break)."""
     rs = [resample(s, 20) for s in pool]
     chosen = [start_index]
@@ -103,7 +103,7 @@ def farthest_oracle(pool, n, start_index):
         for i in range(len(pool)):
             if i in chosen:
                 continue
-            d = min(mdf(rs[i], rs[j]) for j in chosen)
+            d = min(mdf(rs[i], rs[j], voxel_size) for j in chosen)
             if d > best_d + 1e-12:
                 best_i, best_d = i, d
         chosen.append(best_i)
@@ -128,12 +128,14 @@ def test_farthest_n_too_large():
         farthest_sample([line(0.0)], 2, start_index=0)
 
 
-@pytest.mark.parametrize("pool_size,n", [(10, 4), (25, 8), (50, 12)])
-def test_farthest_matches_exhaustive_oracle(pool_size, n):
+@pytest.mark.parametrize("pool_size,n,voxel_size",
+                         [(10, 4, 1.0), (25, 8, 1.0), (50, 12, 1.0), (30, 9, 1.25)],
+                         ids=["10-4", "25-8", "50-12", "30-9-voxel1.25"])
+def test_farthest_matches_exhaustive_oracle(pool_size, n, voxel_size):
     rng = np.random.default_rng(pool_size)
     pool = [random_streamline(rng) for _ in range(pool_size)]
-    _, idx = farthest_sample(pool, n, start_index=0)
-    assert list(idx) == farthest_oracle(pool, n, 0)
+    _, idx = farthest_sample(pool, n, start_index=0, voxel_size=voxel_size)
+    assert list(idx) == farthest_oracle(pool, n, 0, voxel_size)
 
 
 def test_farthest_default_start_is_medoid_deterministic():
@@ -155,7 +157,43 @@ def test_farthest_pool_order_invariant():
 
 def test_min_mdf_to_refs():
     refs = [resample(line(0.0), 20), resample(line(5.0), 20)]
-    assert min_mdf_to_refs(line(4.0), refs) == pytest.approx(1.0, abs=1e-9)
+    got = min_mdf_to_refs([line(4.0), line(-1.0)], refs)
+    np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-9)
+
+
+def test_min_mdf_to_refs_rejects_empty_reference_set():
+    with pytest.raises(GeometryError, match="nonempty"):
+        min_mdf_to_refs([line(0.0)], [])
+
+
+def walk_with_repeats(rng, n):
+    """A random walk of n points in which about a third of the steps are
+    zero-length (repeated points); at least one step moves."""
+    steps = rng.normal(scale=0.5, size=(n - 1, 3))
+    steps[rng.random(n - 1) < 0.3] = 0.0
+    steps[rng.integers(n - 1)] += 1.0
+    return np.concatenate([[np.zeros(3)], np.cumsum(steps, axis=0)]) + rng.normal(size=3)
+
+
+def per_pair_min_mdf(streamline, refs, voxel_size):
+    """One streamline against one reference at a time: min of the direct
+    and flipped mean distances, least over the references, then in mm."""
+    a = resample(streamline, 20)
+    return min(min(np.linalg.norm(a - b, axis=1).mean(),
+                   np.linalg.norm(a - b[::-1], axis=1).mean()) for b in refs) * voxel_size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31), st.integers(0, 12), st.integers(1, 15),
+       st.sampled_from([0.7, 1.0, 1.25, 2.0]))
+def test_min_mdf_to_refs_bytes_match_per_pair(seed, n_streamlines, n_refs, voxel_size):
+    rng = np.random.default_rng(seed)
+    streamlines = [walk_with_repeats(rng, int(rng.integers(2, 40))) for _ in range(n_streamlines)]
+    refs = [resample(walk_with_repeats(rng, int(rng.integers(2, 40))), 20) for _ in range(n_refs)]
+    got = min_mdf_to_refs(streamlines, refs, voxel_size)
+    want = np.array([per_pair_min_mdf(s, refs, voxel_size) for s in streamlines])
+    assert got.shape == (n_streamlines,)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- STL1 file format ---------------------------------------------------------
