@@ -14,6 +14,12 @@ Stages (each writes its outputs plus a hash manifest into --out):
 
 Exit codes: 0 success, 1 bad configuration, missing upstream artifact,
 corrupt checkpoint or failed provenance check, 2 unexpected runtime failure.
+
+Importing `tractfuse` pins numpy's bundled OpenBLAS to one thread, so every
+stage process, whatever imported numpy first, runs BLAS on one thread and
+writes the same bytes on any core count. Full-scale train-rl gives up
+speed for this: its 1024-wide grad steps ran about 1.7x faster on two
+threads (2 CPUs).
 """
 
 from __future__ import annotations
@@ -22,11 +28,8 @@ import argparse
 import os
 import sys
 
-
-def _limit_threads(n):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
+from . import binio, config, pipeline
+from .agents import ALGOS
 
 
 def _keep_freed_heap():
@@ -52,15 +55,11 @@ def build_parser():
     parser.add_argument("--preset", help="named configuration preset (e.g. desk)")
     parser.add_argument("--out", default="run", help="artifact directory (default: run)")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="cap BLAS/OpenMP threads (0 = leave unset)")
     sub = parser.add_subparsers(dest="stage", required=True)
 
     sub.add_parser("phantom", help="generate the synthetic field + ground truth")
     p = sub.add_parser("train-rl", help="train one tracking policy")
-    # The algo choices spell out agents.ALGOS: importing agents here would load
-    # numpy before --threads has set the BLAS thread caps.
-    p.add_argument("--algo", required=True, choices=("td3", "sac", "ddpg"))
+    p.add_argument("--algo", required=True, choices=ALGOS)
     sub.add_parser("eds", help="harvest and select trajectory datasets")
     sub.add_parser("pretrain", help="supervised pretraining of the fusion model")
     p = sub.add_parser("finetune", help="bundle-specific supervised finetuning")
@@ -68,8 +67,7 @@ def build_parser():
     p = sub.add_parser("mcpft", help="multi-critic policy fine-tuning")
     p.add_argument("--bundle", required=True)
     p = sub.add_parser("track", help="whole-bundle tracking with one actor")
-    p.add_argument("--algo", required=True,
-                   choices=("td3", "sac", "ddpg", "avg", "maxq", "fusion"))
+    p.add_argument("--algo", required=True, choices=ALGOS + ("avg", "maxq", "fusion"))
     p.add_argument("--bundle", required=True)
     p = sub.add_parser("evaluate", help="score every tracks_*.stl against ground truth")
     p.add_argument("--force", action="store_true",
@@ -78,7 +76,7 @@ def build_parser():
     return parser
 
 
-def _resolve(args, config):
+def _resolve(args):
     seed_override = args.seed
     env_seed = os.environ.get("TRACTFUSE_SEED")
     if seed_override is None and env_seed is not None:
@@ -91,14 +89,10 @@ def _resolve(args, config):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.threads:
-        _limit_threads(args.threads)  # must happen before numpy loads BLAS
     _keep_freed_heap()
 
-    from . import binio, config, pipeline
-
     try:
-        cfg = _resolve(args, config)
+        cfg = _resolve(args)
     except config.ConfigError as e:
         for err in e.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -180,6 +180,29 @@ _RANGE_CHECKS = [
     ("track.seeds_per_voxel", lambda v: v >= 1, ">= 1"),
     ("track.rtg0", lambda v: v > 0, "> 0"),
     ("track.post_filter_threshold_mm", lambda v: v > 0, "> 0"),
+    # sizes and counts; >= 0 where zero means "skip this training"
+    ("phantom.gt_streamlines", lambda v: v >= 1, ">= 1"),
+    ("rl.batches", lambda v: v >= 0, ">= 0"),
+    ("rl.episodes_per_batch", lambda v: v >= 1, ">= 1"),
+    ("rl.grad_steps_per_batch", lambda v: v >= 0, ">= 0"),
+    ("rl.batch_size", lambda v: v >= 1, ">= 1"),
+    ("rl.replay_capacity", lambda v: v >= 1, ">= 1"),
+    ("rl.hidden", lambda v: v >= 1, ">= 1"),
+    ("eds.seeds_per_voxel", lambda v: v >= 1, ">= 1"),
+    ("eds.pretrain_target", lambda v: v >= 1, ">= 1"),
+    ("eds.finetune_target", lambda v: v >= 1, ">= 1"),
+    ("fusion.width", lambda v: v >= 1, ">= 1"),
+    ("fusion.blocks", lambda v: v >= 1, ">= 1"),
+    ("fusion.warmup", lambda v: v >= 0, ">= 0"),
+    ("fusion.batch_size", lambda v: v >= 1, ">= 1"),
+    ("fusion.pretrain_iters", lambda v: v >= 1, ">= 1"),
+    ("fusion.finetune_iters", lambda v: v >= 1, ">= 1"),
+    ("fusion.updates_per_iter", lambda v: v >= 1, ">= 1"),
+    ("mcpft.iters", lambda v: v >= 0, ">= 0"),
+    ("mcpft.batch_size", lambda v: v >= 1, ">= 1"),
+    ("mcpft.actor_updates", lambda v: v >= 0, ">= 0"),
+    ("mcpft.critic_updates", lambda v: v >= 0, ">= 0"),
+    ("mcpft.rollout_episodes", lambda v: v >= 1, ">= 1"),
 ]
 
 

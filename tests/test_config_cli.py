@@ -48,6 +48,66 @@ def test_cli_sets_mallopt_or_skips_it(tmp_path, cfg_file, monkeypatch, with_mall
     assert calls == ([(-3, 32 * 2**20), (-1, -1)] if with_mallopt else [])
 
 
+# A float64 (128, 48) @ (48, 337) product: the first-layer input gradient of
+# the MCPFT critic term at the bench crossing's shape (16 windows x 8 steps,
+# critic hidden 48, state + action 337). Split over two OpenBLAS threads it
+# has other bits than on one. numpy loads before tractfuse, as in a
+# benchmark child process.
+_BLAS_PROBE = """
+import ctypes, hashlib, pathlib
+import numpy as np
+import tractfuse
+libs = sorted((pathlib.Path(np.__file__).resolve().parents[1] / "numpy.libs")
+              .glob("libscipy_openblas64_*.so"))
+get = (getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None)
+       if libs else None)
+threads = get() if get is not None else None
+rng = np.random.default_rng(0)
+a, b = rng.standard_normal((128, 48)), rng.standard_normal((48, 337))
+print(threads, hashlib.sha256((a @ b).tobytes()).hexdigest())
+"""
+
+
+def test_blas_bytes_do_not_depend_on_thread_count():
+    """Importing tractfuse runs OpenBLAS on one thread, whatever thread count
+    the environment allows, so a product's bytes do not depend on it."""
+    outs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        outs.append(subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                                   capture_output=True, text=True, check=True).stdout.split())
+    (threads_1, digest_1), (threads_2, digest_2) = outs
+    if threads_1 == "None":
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    assert threads_1 == threads_2 == "1"
+    assert digest_1 == digest_2
+
+
+@pytest.mark.parametrize("found", ["openblas", "openblas without setter", "no openblas"])
+def test_import_pins_openblas_or_skips_it(tmp_path, monkeypatch, found):
+    """The pin calls OpenBLAS's `set_num_threads(1)` when numpy's wheel ships
+    OpenBLAS; a library without the setter, or a numpy without the bundled
+    library, is left as it is (a stand-in for `numpy.__file__` and
+    `ctypes.CDLL`)."""
+    import ctypes
+
+    import tractfuse
+
+    calls = []
+    if found != "no openblas":
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").touch()
+    lib = SimpleNamespace(scipy_openblas_set_num_threads64_=lambda n: calls.append(n)) \
+        if found == "openblas" else SimpleNamespace()
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: calls.append(Path(name).name) or lib)
+    tractfuse._one_blas_thread()
+    assert calls == {"openblas": ["libscipy_openblas64_-0.so", 1],
+                     "openblas without setter": ["libscipy_openblas64_-0.so"],
+                     "no openblas": []}[found]
+
+
 # -- config -------------------------------------------------------------------
 
 def test_defaults_resolve():
@@ -86,6 +146,29 @@ def test_unknown_preset_rejected():
     ("eds.window", "0"),
     ("track.post_filter_threshold_mm", "nan"),
     ("track.post_filter_threshold_mm", "-1"),
+    ("phantom.gt_streamlines", "0"),
+    ("rl.batches", "-1"),
+    ("rl.episodes_per_batch", "0"),
+    ("rl.grad_steps_per_batch", "-1"),
+    ("rl.batch_size", "0"),
+    ("rl.replay_capacity", "0"),
+    ("rl.hidden", "0"),
+    ("rl.hidden", "-3"),
+    ("eds.seeds_per_voxel", "0"),
+    ("eds.pretrain_target", "0"),
+    ("eds.finetune_target", "0"),
+    ("fusion.width", "0"),
+    ("fusion.blocks", "0"),
+    ("fusion.warmup", "-1"),
+    ("fusion.batch_size", "0"),
+    ("fusion.pretrain_iters", "0"),
+    ("fusion.finetune_iters", "0"),
+    ("fusion.updates_per_iter", "0"),
+    ("mcpft.iters", "-1"),
+    ("mcpft.batch_size", "0"),
+    ("mcpft.actor_updates", "-1"),
+    ("mcpft.critic_updates", "-1"),
+    ("mcpft.rollout_episodes", "0"),
 ])
 def test_gamma_out_of_range_names_key_and_bound(key, value):
     with pytest.raises(ConfigError) as e:
