@@ -12,8 +12,9 @@ Stages (each writes its outputs plus a hash manifest into --out):
     evaluate  -> scores.tsv   (verifies upstream hashes unless --force)
     report    -> report.txt, printed table
 
-Exit codes: 0 success, 1 bad configuration, missing upstream artifact,
-corrupt checkpoint or failed provenance check, 2 unexpected runtime failure.
+Exit codes: 0 success, 1 bad command line or configuration, missing
+upstream artifact, corrupt checkpoint or failed provenance check,
+2 unexpected runtime failure.
 
 Importing `tractfuse` pins numpy's bundled OpenBLAS to one thread, so every
 stage process, whatever imported numpy first, runs BLAS on one thread and
@@ -25,7 +26,6 @@ threads (2 CPUs).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import binio, config, pipeline
@@ -77,18 +77,17 @@ def build_parser():
 
 
 def _resolve(args):
-    seed_override = args.seed
-    env_seed = os.environ.get("TRACTFUSE_SEED")
-    if seed_override is None and env_seed is not None:
-        seed_override = int(env_seed)
     if args.config:
         return config.load_config(args.config, preset=args.preset,
-                                  seed_override=seed_override)
-    return config.resolve_config("", preset=args.preset, seed_override=seed_override)
+                                  seed_override=args.seed)
+    return config.resolve_config("", preset=args.preset, seed_override=args.seed)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help, 2 on a usage error
+        return 0 if e.code == 0 else 1
     _keep_freed_heap()
 
     try:

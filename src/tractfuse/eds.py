@@ -195,10 +195,8 @@ def _sweep_origins(mask, window):
     return origins
 
 
-def build_datasets(phantom, policies, env_cfg, spec=None, pretrain_target=1500,
-                   finetune_target=500, seed=0):
+def build_datasets(phantom, policies, env_cfg, spec, pretrain_target, finetune_target, seed=0):
     """Sweep harvest windows over every bundle and assemble both datasets."""
-    spec = spec or HarvestSpec()
     rng = np.random.default_rng(seed)
     voxel_size = phantom.grid.voxel_size
     datasets = EdsDatasets()

@@ -7,13 +7,14 @@ State layout: 45 SH coefficients at the current position and its 6 axis
 neighbors (315), last 4 tracking directions newest-first (12, zero-padded),
 and the interpolated mask value at the same 7 positions (7).
 
-`BatchTracker` steps many episodes in lockstep with numpy, and
-`BatchTracker.run` is the one episode driver: every rollout (RL training,
-EDS harvesting, whole-bundle tracking, fusion tracking) goes through it.
+`BatchTracker` is the only episode API. It steps many episodes in lockstep
+with numpy (a single episode is a one-row batch), and `BatchTracker.run` is
+the one episode driver: every rollout (RL training, EDS harvesting,
+whole-bundle tracking, fusion tracking) goes through it. `reward` is the one
+alignment formula, and `BatchTracker.step` pays every reward through it.
 Every actor is a callable `act(states) -> actions`, and every recorded
 transition goes into an `agents.ReplayBuffer`. Every seeder draws its seeds
 with `jittered_seeds` and its direction hints with `peak_hints`.
-`TrackingEnv` is the single-episode wrapper around the tracker.
 """
 
 from __future__ import annotations
@@ -53,14 +54,6 @@ class EnvConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
 
-@dataclass
-class StepOutcome:
-    next_state: np.ndarray
-    reward: float
-    done: bool
-    reason: str
-
-
 _OFFSET_SIGNS = np.array([
     [0, 0, 0],
     [1, 0, 0], [-1, 0, 0],
@@ -81,24 +74,15 @@ def build_states(phantom, mask_values, positions, histories, neighbor_offset=1.0
     return np.concatenate([sh_feat, dir_feat, mask_feat], axis=1).astype(np.float32)
 
 
-def reward(action, prev_dir, peaks):
-    """Alignment reward: |max_i p_i . a| * (a . u_prev); u factor is 1 when
-    there is no previous direction; empty peaks give 0."""
-    a = np.asarray(action, dtype=np.float64)
-    norm = np.linalg.norm(a)
-    if norm == 0:
-        raise EnvError("zero-norm action has no direction")
-    a = a / norm
-    peaks = np.asarray(peaks, dtype=np.float64).reshape(-1, 3)
-    if peaks.shape[0] == 0:
-        return 0.0
-    align = np.abs(peaks @ a).max()
-    if prev_dir is None:
-        u_factor = 1.0
-    else:
-        u = np.asarray(prev_dir, dtype=np.float64)
-        u_factor = float(a @ (u / np.linalg.norm(u)))
-    return float(align * u_factor)
+def reward(actions, prev_dirs, has_prev, peak_counts, peak_dirs):
+    """Alignment reward per row, |max_i p_i . a| * (a . u_prev), on unit
+    actions (N,3). Row n's peaks are the first `peak_counts[n]` of
+    `peak_dirs[n]` (N,K,3); a row without peaks gets 0. The u factor is 1
+    where `has_prev` is False, else the dot with the unit `prev_dirs` row."""
+    dots = np.abs(np.einsum("nkj,nj->nk", np.asarray(peak_dirs, dtype=np.float64), actions))
+    dots = np.where(np.arange(dots.shape[1])[None, :] < peak_counts[:, None], dots, -np.inf)
+    align = np.where(peak_counts > 0, dots.max(axis=1), 0.0)
+    return align * np.where(has_prev, np.einsum("nj,nj->n", actions, prev_dirs), 1.0)
 
 
 def jittered_seeds(mask, voxels, per_voxel, rng):
@@ -157,32 +141,18 @@ class BatchTracker:
         self.reasons = np.array([REASON_NONE] * n, dtype=object)
         self.points = np.zeros((n, self.config.max_steps + 1, 3), dtype=np.float32)
         self.points[:, 0] = seeds
-        return self.states()
-
-    def states(self):
         return build_states(self.phantom, self.mask, self.pos, self.history,
                             self.config.neighbor_offset)
-
-    def _peak_alignment(self, pos, actions):
-        idx = np.clip(np.rint(pos).astype(int), 0,
-                      np.asarray(self.phantom.grid.dims) - 1)
-        counts = self.phantom.peak_counts[idx[:, 0], idx[:, 1], idx[:, 2]]
-        dirs = self.phantom.peak_dirs[idx[:, 0], idx[:, 1], idx[:, 2]]
-        dots = np.abs(np.einsum("nkj,nj->nk", dirs.astype(np.float64), actions))
-        valid = np.arange(dirs.shape[1])[None, :] < counts[:, None]
-        dots = np.where(valid, dots, -np.inf)
-        align = dots.max(axis=1)
-        return np.where(counts > 0, align, 0.0)
 
     def step(self, actions):
         """Advance every active episode one step.
 
-        Returns (rewards, done, reasons) over the full batch; inactive
-        episodes report reward 0 and keep their terminal reason. Only the
-        active rows are computed: a finished row's action is never read. An
-        active row whose action is zero ends as `no_direction` with reward 0,
-        without moving or adding a point. `stepped` then indexes the rows
-        that moved.
+        Returns (rewards, done) over the full batch; inactive episodes
+        report reward 0, and each row's terminal reason is in `reasons`.
+        Only the active rows are computed: a finished row's action is never
+        read. An active row whose action is zero ends as `no_direction` with
+        reward 0, without moving or adding a point. `stepped` then indexes
+        the rows that moved.
         """
         if not self.active.any():
             raise EnvError("step on a batch with no active episodes")
@@ -200,13 +170,16 @@ class BatchTracker:
         self.stepped = live
         a = acts / norms
 
-        has_prev = self.has_prev[live]
-        cos_ang = np.einsum("nj,nj->n", a, self.prev_dir[live])
+        pos, prev, has_prev = self.pos[live], self.prev_dir[live], self.has_prev[live]
+        idx = np.clip(np.rint(pos).astype(int), 0, np.asarray(self.phantom.grid.dims) - 1)
         rewards = np.zeros(self.n)
-        rewards[live] = self._peak_alignment(self.pos[live], a) * np.where(has_prev, cos_ang, 1.0)
+        rewards[live] = reward(a, prev, has_prev,
+                               self.phantom.peak_counts[idx[:, 0], idx[:, 1], idx[:, 2]],
+                               self.phantom.peak_dirs[idx[:, 0], idx[:, 1], idx[:, 2]])
+        cos_ang = np.einsum("nj,nj->n", a, prev)
 
         done_angle = has_prev & (cos_ang < self._cos_limit)
-        new_pos = self.pos[live] + self.config.step_size * a
+        new_pos = pos + self.config.step_size * a
         done_mask = ~done_angle & (sample_field(self.mask, new_pos) < 0.5)
         new_steps = self.steps[live] + 1
         done_steps = ~done_angle & ~done_mask & (new_steps >= self.config.max_steps)
@@ -227,7 +200,7 @@ class BatchTracker:
         done = np.zeros(self.n, dtype=bool)
         done[ended] = True
         done[stuck] = True
-        return rewards, done, self.reasons.copy()
+        return rewards, done
 
     def run(self, seeds, hints, act, observe=None):
         """Roll episodes from `seeds` until every one has ended.
@@ -242,7 +215,7 @@ class BatchTracker:
         states = self.reset(seeds, hints)
         while self.active.any():
             actions = act(states)
-            rewards, done, _ = self.step(actions)
+            rewards, done = self.step(actions)
             live = self.stepped
             next_states = states.copy()
             next_states[live] = build_states(self.phantom, self.mask, self.pos[live],
@@ -255,30 +228,3 @@ class BatchTracker:
         """Emitted streamlines so far, one (steps+1, 3) array per episode."""
         return [self.points[i, : self.steps[i] + 1].copy() for i in range(self.n)]
 
-
-class TrackingEnv:
-    """Single-episode convenience wrapper over BatchTracker."""
-
-    def __init__(self, phantom, bundle_name, config=None):
-        self.tracker = BatchTracker(phantom, bundle_name, config or EnvConfig())
-        self._episode_open = False
-
-    def reset(self, seed_position, initial_dir_hint=None):
-        hints = None if initial_dir_hint is None else np.asarray(initial_dir_hint)[None, :]
-        state = self.tracker.reset(np.asarray(seed_position)[None, :], hints)
-        self._episode_open = True
-        return state[0]
-
-    def step(self, action):
-        if not self._episode_open:
-            raise EnvError("step on a finished episode")
-        rewards, done, reasons = self.tracker.step(np.asarray(action)[None, :])
-        if done[0]:
-            self._episode_open = False
-        reason = reasons[0] if done[0] else REASON_NONE
-        return StepOutcome(next_state=self.tracker.states()[0], reward=float(rewards[0]),
-                           done=bool(done[0]), reason=reason)
-
-    @property
-    def streamline(self):
-        return self.tracker.streamlines()[0]

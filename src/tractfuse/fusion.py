@@ -51,14 +51,9 @@ class McpftSchedule:
     rtg0: float = 300.0
 
 
-# Default schedules for the two supervised stages.
-PRETRAIN_SCHEDULE = TrainSchedule(iterations=30)
-FINETUNE_SCHEDULE = TrainSchedule(iterations=10)
-
-
 class FusionModel:
-    def __init__(self, config=None, seed=0):
-        self.config = config or FusionConfig()
+    def __init__(self, config, seed=0):
+        self.config = config
         c = self.config
         rng = np.random.default_rng(seed)
         self.embed_rtg = nn.Linear(1, c.width, rng, init="gpt")
@@ -249,12 +244,12 @@ def _supervised_stage(model, records, schedule, trainable, seed, stage_name):
     return log
 
 
-def pretrain(model, records, schedule=PRETRAIN_SCHEDULE, seed=0):
+def pretrain(model, records, schedule, seed=0):
     """Train all parameters on mixed-bundle trajectories."""
     return _supervised_stage(model, records, schedule, model.params(), seed, "pretrain")
 
 
-def finetune(model, records, schedule=FINETUNE_SCHEDULE, seed=0):
+def finetune(model, records, schedule, seed=0):
     """Train only the final block / final norm / action head on one bundle."""
     return _supervised_stage(model, records, schedule, model.final_layer_params(),
                              seed, "finetune")
@@ -272,7 +267,7 @@ class FusionTracker:
 
     CHUNK = 64
 
-    def __init__(self, model, phantom, bundle_name, env_cfg, rtg0=300.0):
+    def __init__(self, model, phantom, bundle_name, env_cfg, rtg0):
         self.model = model
         self.tracker = BatchTracker(phantom, bundle_name, env_cfg)
         self.rtg0 = rtg0
@@ -345,13 +340,11 @@ def mcpft_actor_loss(model, policies, rtg, s, a, valid, training=False, rng=None
     return total, sup
 
 
-def mcpft(model, policies, records, phantom, bundle_name, env_cfg,
-          schedule=None, seed=0):
+def mcpft(model, policies, records, phantom, bundle_name, env_cfg, schedule, seed=0):
     """Multi-critic fine-tuning: many delayed actor updates per iteration,
     then exactly one TD step per critic on freshly re-rolled transitions."""
     from . import agents
 
-    schedule = schedule or McpftSchedule()
     if not records:
         raise FusionError("mcpft: empty dataset")
     rng = np.random.default_rng(seed)

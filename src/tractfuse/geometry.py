@@ -11,7 +11,6 @@ from . import binio
 
 STL_MAGIC = b"STL1"
 MDF_POINTS = 20  # canonical resampling for MDF comparisons
-REFERENCE_COUNT = 15
 
 
 class GeometryError(ValueError):
@@ -121,7 +120,7 @@ def load_streamlines(path):
     return out, float(voxel_size)
 
 
-def build_reference_set(gt_streamlines, count=REFERENCE_COUNT, voxel_size=1.0, k=MDF_POINTS):
+def build_reference_set(gt_streamlines, count, voxel_size=1.0, k=MDF_POINTS):
     """Reference streamlines for one bundle via farthest sampling of ground
     truth; a `count` above the pool size takes the whole pool."""
     refs, _ = farthest_sample(gt_streamlines, min(count, len(gt_streamlines)),

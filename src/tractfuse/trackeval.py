@@ -170,15 +170,11 @@ def score(candidate_mask, gt_mask):
     return BundleScore(dice=dice, ol=ol, or_=or_)
 
 
-def format_score_line(bundle, algo, s):
-    return f"{bundle}\t{algo}\t{s.dice:.4f}\t{s.ol:.4f}\t{s.or_:.4f}"
-
-
 def write_scores(path, rows):
     """rows: iterable of (bundle, algo, BundleScore); tab-separated output."""
     with open(path, "w") as f:
         for bundle, algo, s in rows:
-            f.write(format_score_line(bundle, algo, s) + "\n")
+            f.write(f"{bundle}\t{algo}\t{s.dice:.4f}\t{s.ol:.4f}\t{s.or_:.4f}\n")
 
 
 def read_scores(path):

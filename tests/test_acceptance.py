@@ -12,7 +12,8 @@ from conftest import finite_diff_grad, rel_err
 from tractfuse import agents, cli, eds, fusion, geometry, trackeval
 from tractfuse.autodiff import Tensor
 from tractfuse.env import (REASON_LEFT_MASK, REASON_MAX_STEPS,
-                           REASON_SHARP_ANGLE, STATE_DIM, TrackingEnv, reward)
+                           REASON_SHARP_ANGLE, STATE_DIM, BatchTracker, EnvConfig,
+                           reward)
 from tractfuse.fusion import (FusionConfig, FusionModel, McpftSchedule,
                               TrainSchedule, loss_dist_cos, mcpft_actor_loss,
                               sample_windows)
@@ -177,6 +178,8 @@ def test_criterion_01_gradient_suite(capsys):
 # -- criterion 2: reward oracle -----------------------------------------------
 
 def test_criterion_02_reward_oracle(capsys):
+    """`env.reward` is the formula `BatchTracker.step` pays every reward
+    through; it takes unit actions and a padded peak table per row."""
     def oracle(a, prev, peaks):
         a = np.asarray(a, dtype=np.float64)
         a = a / np.linalg.norm(a)
@@ -187,18 +190,33 @@ def test_criterion_02_reward_oracle(capsys):
             np.dot(a, np.asarray(prev) / np.linalg.norm(prev)))
         return best * u
 
-    assert reward((1, 0, 0), (1, 0, 0), [(1, 0, 0)]) == pytest.approx(1.0, abs=1e-6)
-    assert reward((1, 0, 0), (0, 1, 0), [(1, 0, 0)]) == pytest.approx(0.0, abs=1e-6)
-    assert reward((np.sqrt(2) / 2, np.sqrt(2) / 2, 0), (1, 0, 0),
-                  [(1, 0, 0), (0, 1, 0)]) == pytest.approx(0.5, abs=1e-6)
-    worst = 0.0
+    def batch_reward(cases):
+        a = np.array([a for a, _, _ in cases], dtype=np.float64)
+        prev = np.array([(1, 0, 0) if p is None else p for _, p, _ in cases], dtype=np.float64)
+        dirs = np.zeros((len(cases), 3, 3))
+        for i, (_, _, peaks) in enumerate(cases):
+            dirs[i, :len(peaks)] = np.reshape(peaks, (-1, 3))
+        return reward(a / np.linalg.norm(a, axis=1, keepdims=True),
+                      prev / np.linalg.norm(prev, axis=1, keepdims=True),
+                      np.array([p is not None for _, p, _ in cases]),
+                      np.array([len(peaks) for _, _, peaks in cases]), dirs)
+
+    listed = [((1, 0, 0), (1, 0, 0), [(1, 0, 0)]),
+              ((1, 0, 0), (0, 1, 0), [(1, 0, 0)]),
+              ((np.sqrt(2) / 2, np.sqrt(2) / 2, 0), (1, 0, 0), [(1, 0, 0), (0, 1, 0)])]
+    for case, want in zip(listed, (1.0, 0.0, 0.5)):
+        assert batch_reward([case])[0] == pytest.approx(want, abs=1e-6)
+    cases = []
     for _ in range(100):
         a = RNG.normal(size=3)
         while np.linalg.norm(a) < 1e-3:
             a = RNG.normal(size=3)
         prev = None if RNG.random() < 0.25 else RNG.normal(size=3)
         peaks = [v / np.linalg.norm(v) for v in RNG.normal(size=(int(RNG.integers(0, 4)), 3))]
-        diff = abs(reward(a, prev, peaks) - oracle(a, prev, peaks))
+        cases.append((a, prev, peaks))
+    worst = 0.0
+    for got, case in zip(batch_reward(cases), cases):
+        diff = abs(got - oracle(*case))
         worst = max(worst, diff)
         assert diff <= 1e-6
     announce(capsys, f"ACCEPTANCE 02 reward-oracle: PASS (100 cases, max |diff| {worst:.1e})")
@@ -207,31 +225,29 @@ def test_criterion_02_reward_oracle(capsys):
 # -- criterion 3: termination -------------------------------------------------
 
 def test_criterion_03_termination(capsys, tube_phantom, env_cfg):
-    def fresh():
-        env = TrackingEnv(tube_phantom, "tube", env_cfg)
-        env.reset(np.array([12.0, 6.0, 6.0]))
-        return env
+    def fresh(cfg):
+        tracker = BatchTracker(tube_phantom, "tube", cfg)
+        tracker.reset(np.array([12.0, 6.0, 6.0]))  # a one-episode batch
+        return tracker
 
-    env = fresh()
-    assert not env.step((1.0, 0, 0)).done
-    out = env.step((0.0, 1.0, 0))
-    assert out.done and out.reason == REASON_SHARP_ANGLE
+    tracker = fresh(env_cfg)
+    assert not tracker.step([(1.0, 0, 0)])[1][0]
+    _, done = tracker.step([(0.0, 1.0, 0)])
+    assert done[0] and tracker.reasons[0] == REASON_SHARP_ANGLE
 
-    env = fresh()
+    tracker = fresh(env_cfg)
     reason = None
     for _ in range(50):
-        out = env.step((0.0, 0, 1.0))
-        if out.done:
-            reason = out.reason
+        _, done = tracker.step([(0.0, 0, 1.0)])
+        if done[0]:
+            reason = tracker.reasons[0]
             break
     assert reason == REASON_LEFT_MASK
 
-    from tractfuse.env import EnvConfig
-    env = TrackingEnv(tube_phantom, "tube", EnvConfig(step_size=0.01, max_steps=5))
-    env.reset(np.array([12.0, 6.0, 6.0]))
+    tracker = fresh(EnvConfig(step_size=0.01, max_steps=5))
     for _ in range(5):
-        out = env.step((1.0, 0, 0))
-    assert out.done and out.reason == REASON_MAX_STEPS
+        _, done = tracker.step([(1.0, 0, 0)])
+    assert done[0] and tracker.reasons[0] == REASON_MAX_STEPS
     announce(capsys, "ACCEPTANCE 03 termination: PASS "
                      "(sharp_angle / left_mask / max_steps each triggered exactly)")
 

@@ -270,18 +270,36 @@ def test_cli_phantom_writes_manifest(tmp_path, cfg_file, capsys):
     assert manifest["config"]["phantom.kind"] == "straight-tube"
 
 
-def test_cli_seed_env_override(tmp_path, cfg_file, monkeypatch):
+def test_cli_seed_flag_override(tmp_path, cfg_file):
+    """`--seed` wins over the config file's seed and gives the outputs of
+    that seed written in the file."""
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(DESK_TUBE + "seed = 123\n")
+    cfg_file.write_text(DESK_TUBE + "seed = 5\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("TRACTFUSE_SEED", "123")
     assert cli.main(["--preset", "desk", "--config", str(cfg_file),
-                     "--out", str(out1), "phantom"]) == 0
-    monkeypatch.delenv("TRACTFUSE_SEED")
-    assert cli.main(["--preset", "desk", "--config", str(cfg_file),
-                     "--out", str(out2), "--seed", "123", "phantom"]) == 0
+                     "--out", str(out1), "--seed", "123", "phantom"]) == 0
+    assert cli.main(["--preset", "desk", "--config", str(seeded),
+                     "--out", str(out2), "phantom"]) == 0
     m1 = json.loads((out1 / "manifest_phantom.json").read_text())
     m2 = json.loads((out2 / "manifest_phantom.json").read_text())
     assert m1["config"]["seed"] == 123
     assert m1["outputs"] == m2["outputs"]
+
+
+@pytest.mark.parametrize("argv", [["train-rl", "--algo", "foo"], ["--seed", "abc", "phantom"],
+                                  ["no-such-stage"], []],
+                         ids=["bad choice", "non-integer seed", "unknown stage", "no stage"])
+def test_cli_usage_error_exit_1(tmp_path, capsys, argv):
+    """A command line argparse rejects exits 1 (bad input), not argparse's 2."""
+    assert cli.main(["--out", str(tmp_path / "o")] + argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_help_exit_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_cli_phantom_reproducible(tmp_path, cfg_file):

@@ -1,5 +1,6 @@
 """Tracking-environment tests: state layout, alignment-reward oracle
-(independent straight-line evaluation), and termination semantics."""
+(independent straight-line evaluation), and termination semantics. A single
+episode is a one-row `BatchTracker`."""
 
 import dataclasses
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from tractfuse import agents, eds, trackeval
 from tractfuse.env import (EnvConfig, EnvError, REASON_LEFT_MASK,
                            REASON_MAX_STEPS, REASON_NO_DIRECTION, REASON_NONE,
-                           REASON_SHARP_ANGLE, STATE_DIM, BatchTracker, TrackingEnv,
-                           build_states, jittered_seeds, peak_hints, reward)
+                           REASON_SHARP_ANGLE, STATE_DIM, BatchTracker, build_states,
+                           jittered_seeds, peak_hints, reward)
 from tractfuse.geometry import build_reference_set
 from tractfuse.phantom import sample_field
 
@@ -34,17 +35,35 @@ def reward_oracle(action, prev_dir, peaks):
     return best * u
 
 
+def reward_rows(cases):
+    """`reward` over a batch of (action, prev_dir or None, peaks) cases: unit
+    actions and previous directions, and peaks padded to a 3-slot table."""
+    actions = np.array([unit(a) for a, _, _ in cases])
+    prev = np.array([np.zeros(3) if p is None else unit(p) for _, p, _ in cases])
+    has_prev = np.array([p is not None for _, p, _ in cases])
+    counts = np.array([len(peaks) for _, _, peaks in cases])
+    dirs = np.zeros((len(cases), 3, 3))
+    for i, (_, _, peaks) in enumerate(cases):
+        dirs[i, :len(peaks)] = np.reshape(peaks, (-1, 3))
+    return reward(actions, prev, has_prev, counts, dirs)
+
+
+def reward_one(action, prev_dir, peaks):
+    return float(reward_rows([(action, prev_dir, peaks)])[0])
+
+
 # -- reward -------------------------------------------------------------------
 
 def test_reward_listed_examples():
-    assert reward((1, 0, 0), (1, 0, 0), [(1, 0, 0)]) == pytest.approx(1.0)
-    assert reward((1, 0, 0), (0, 1, 0), [(1, 0, 0)]) == pytest.approx(0.0)
-    r = reward((np.sqrt(2) / 2, np.sqrt(2) / 2, 0), (1, 0, 0),
-               [(1, 0, 0), (0, 1, 0)])
+    assert reward_one((1, 0, 0), (1, 0, 0), [(1, 0, 0)]) == pytest.approx(1.0)
+    assert reward_one((1, 0, 0), (0, 1, 0), [(1, 0, 0)]) == pytest.approx(0.0)
+    r = reward_one((np.sqrt(2) / 2, np.sqrt(2) / 2, 0), (1, 0, 0),
+                   [(1, 0, 0), (0, 1, 0)])
     assert r == pytest.approx(0.5)
 
 
 def test_reward_oracle_100_random_cases():
+    cases = []
     for _ in range(100):
         a = RNG.normal(size=3)
         while np.linalg.norm(a) < 1e-3:
@@ -52,18 +71,15 @@ def test_reward_oracle_100_random_cases():
         prev = None if RNG.random() < 0.2 else unit(RNG.normal(size=3))
         n_peaks = int(RNG.integers(0, 4))
         peaks = [unit(RNG.normal(size=3)) for _ in range(n_peaks)]
-        assert reward(a, prev, peaks) == pytest.approx(
-            reward_oracle(a, prev, peaks), abs=1e-6)
+        cases.append((a, prev, peaks))
+    got = reward_rows(cases)  # one batch: each row reads only its own inputs
+    for r, case in zip(got, cases):
+        assert r == pytest.approx(reward_oracle(*case), abs=1e-6)
 
 
 def test_reward_first_step_factor_is_one():
     p = unit([0.2, 0.9, 0.1])
-    assert reward(p, None, [p]) == pytest.approx(1.0)
-
-
-def test_reward_zero_action_rejected():
-    with pytest.raises(EnvError):
-        reward((0, 0, 0), None, [(1, 0, 0)])
+    assert reward_one(p, None, [p]) == pytest.approx(1.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -73,7 +89,7 @@ def test_reward_bounded_by_one(seed):
     a = unit(rng.normal(size=3))
     prev = unit(rng.normal(size=3))
     peaks = [unit(rng.normal(size=3)) for _ in range(3)]
-    assert abs(reward(a, prev, peaks)) <= 1.0 + 1e-12
+    assert abs(reward_one(a, prev, peaks)) <= 1.0 + 1e-12
 
 
 # -- state layout -------------------------------------------------------------
@@ -85,33 +101,33 @@ def center_seed(phantom, name):
 
 
 def test_state_dim_and_zero_history(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    s = env.reset(center_seed(tube_phantom, "tube"))
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    s = tracker.reset(center_seed(tube_phantom, "tube"))[0]
     assert s.shape == (STATE_DIM,)
     np.testing.assert_array_equal(s[315:327], 0.0)  # 12 direction entries
 
 
 def test_state_mask_features_deep_inside(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    s = env.reset(np.array([12.0, 6.0, 6.0]))  # on the tube axis
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    s = tracker.reset(np.array([12.0, 6.0, 6.0]))[0]  # on the tube axis
     np.testing.assert_allclose(s[327:334], 1.0)
 
 
 def test_reset_deterministic(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
     seed = center_seed(tube_phantom, "tube")
-    np.testing.assert_array_equal(env.reset(seed), env.reset(seed))
+    np.testing.assert_array_equal(tracker.reset(seed), tracker.reset(seed))
 
 
 def test_reset_out_of_mask_rejected(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
     with pytest.raises(EnvError, match="mask"):
-        env.reset(np.array([0.0, 0.0, 0.0]))
+        tracker.reset(np.array([0.0, 0.0, 0.0]))
 
 
 def test_hint_enters_history(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    s = env.reset(center_seed(tube_phantom, "tube"), initial_dir_hint=(2.0, 0, 0))
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    s = tracker.reset(center_seed(tube_phantom, "tube"), (2.0, 0, 0))[0]
     np.testing.assert_allclose(s[315:318], [1, 0, 0])  # normalized, newest slot
     np.testing.assert_array_equal(s[318:327], 0.0)
 
@@ -119,89 +135,112 @@ def test_hint_enters_history(tube_phantom, env_cfg):
 # -- stepping and termination -------------------------------------------------
 
 def test_step_distance_is_step_size(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
     seed = center_seed(tube_phantom, "tube")
-    env.reset(seed)
-    env.step((5.0, 0, 0))  # non-unit action must be normalized
-    moved = env.streamline[-1] - seed
+    tracker.reset(seed)
+    tracker.step([(5.0, 0, 0)])  # non-unit action must be normalized
+    moved = tracker.streamlines()[0][-1] - seed
     assert np.linalg.norm(moved) == pytest.approx(env_cfg.step_size)
     np.testing.assert_allclose(moved, [env_cfg.step_size, 0, 0], atol=1e-12)
 
 
 def test_sharp_angle_termination(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    env.reset(center_seed(tube_phantom, "tube"))
-    out = env.step((1.0, 0, 0))
-    assert not out.done and out.reason == REASON_NONE
-    out = env.step((0.0, 1.0, 0))  # 90 degrees > 60
-    assert out.done and out.reason == REASON_SHARP_ANGLE
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    tracker.reset(center_seed(tube_phantom, "tube"))
+    _, done = tracker.step([(1.0, 0, 0)])
+    assert not done[0] and tracker.reasons[0] == REASON_NONE
+    _, done = tracker.step([(0.0, 1.0, 0)])  # 90 degrees > 60
+    assert done[0] and tracker.reasons[0] == REASON_SHARP_ANGLE
 
 
 def test_hint_does_not_arm_angle_check(tube_phantom, env_cfg):
     """The seed hint steers the policy but the first step can oppose it."""
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    env.reset(center_seed(tube_phantom, "tube"), initial_dir_hint=(1.0, 0, 0))
-    out = env.step((-1.0, 0, 0))
-    assert out.reason != REASON_SHARP_ANGLE
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    tracker.reset(center_seed(tube_phantom, "tube"), (1.0, 0, 0))
+    tracker.step([(-1.0, 0, 0)])
+    assert tracker.reasons[0] != REASON_SHARP_ANGLE
 
 
 def test_left_mask_termination(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    env.reset(center_seed(tube_phantom, "tube"))
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    tracker.reset(center_seed(tube_phantom, "tube"))
     for _ in range(40):
-        out = env.step((0.0, 0, 1.0))  # walk out the tube side
-        if out.done:
+        _, done = tracker.step([(0.0, 0, 1.0)])  # walk out the tube side
+        if done[0]:
             break
-    assert out.done and out.reason == REASON_LEFT_MASK
+    assert done[0] and tracker.reasons[0] == REASON_LEFT_MASK
 
 
 def test_max_steps_termination(tube_phantom):
     cfg = EnvConfig(step_size=0.05, max_steps=8)
-    env = TrackingEnv(tube_phantom, "tube", cfg)
-    env.reset(center_seed(tube_phantom, "tube"))
+    tracker = BatchTracker(tube_phantom, "tube", cfg)
+    tracker.reset(center_seed(tube_phantom, "tube"))
     for i in range(8):
-        out = env.step((1.0, 0, 0))
-    assert out.done and out.reason == REASON_MAX_STEPS
-    assert len(env.streamline) == 9
+        _, done = tracker.step([(1.0, 0, 0)])
+    assert done[0] and tracker.reasons[0] == REASON_MAX_STEPS
+    assert len(tracker.streamlines()[0]) == 9
 
 
 def test_angle_takes_precedence_over_mask(tube_phantom, env_cfg):
     """An action that both turns > 60 degrees and exits reports sharp_angle."""
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    env.reset(center_seed(tube_phantom, "tube"))
-    env.step((1.0, 0, 0))
-    for _ in range(30):
-        out = env.step((0.0, 0, 1.0))
-        break
-    assert out.reason == REASON_SHARP_ANGLE
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    tracker.reset(center_seed(tube_phantom, "tube"))
+    tracker.step([(1.0, 0, 0)])
+    tracker.step([(0.0, 0, 1.0)])
+    assert tracker.reasons[0] == REASON_SHARP_ANGLE
 
 
 def test_step_after_done_rejected(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
-    env.reset(center_seed(tube_phantom, "tube"))
-    env.step((1.0, 0, 0))
-    env.step((0.0, 1.0, 0))
-    with pytest.raises(EnvError, match="finished"):
-        env.step((0.0, 1.0, 0))
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    tracker.reset(center_seed(tube_phantom, "tube"))
+    tracker.step([(1.0, 0, 0)])
+    tracker.step([(0.0, 1.0, 0)])
+    with pytest.raises(EnvError, match="no active episodes"):
+        tracker.step([(0.0, 1.0, 0)])
 
 
 def test_step_reward_matches_oracle(tube_phantom, env_cfg):
-    env = TrackingEnv(tube_phantom, "tube", env_cfg)
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
     seed = center_seed(tube_phantom, "tube")
-    env.reset(seed)
+    tracker.reset(seed)
     a = unit([0.9, 0.1, 0.0])
     peaks = tube_phantom.peaks_at(seed)
-    out = env.step(a)
-    assert out.reward == pytest.approx(reward_oracle(a, None, list(peaks)), abs=1e-6)
+    rewards, _ = tracker.step([a])
+    assert rewards[0] == pytest.approx(reward_oracle(a, None, list(peaks)), abs=1e-6)
     # second step: previous direction factor engages
     b = unit([0.95, -0.05, 0.0])
-    peaks2 = tube_phantom.peaks_at(env.tracker.pos[0])
-    out2 = env.step(b)
-    assert out2.reward == pytest.approx(reward_oracle(b, a, list(peaks2)), abs=1e-6)
+    peaks2 = tube_phantom.peaks_at(tracker.pos[0])
+    rewards, _ = tracker.step([b])
+    assert rewards[0] == pytest.approx(reward_oracle(b, a, list(peaks2)), abs=1e-6)
+
+
+def test_step_rewards_per_row_match_oracle(crossing_phantom):
+    """On a crossing batch, each live row's reward equals the oracle at the
+    peaks of its own position, over first steps (no previous direction) and
+    later ones, while finished rows earn 0."""
+    rng = np.random.default_rng(5)
+    tracker = BatchTracker(crossing_phantom, "pair_a", EnvConfig(max_steps=40))
+    voxels = np.argwhere(tracker.mask > 0)
+    seeds = voxels[rng.integers(0, len(voxels), size=16)].astype(np.float64)
+    tracker.reset(seeds)
+    checked = {True: 0, False: 0}
+    while tracker.active.any():
+        live = np.nonzero(tracker.active)[0]
+        pos, prev, has_prev = tracker.pos.copy(), tracker.prev_dir.copy(), tracker.has_prev.copy()
+        actions = np.array([1.0, 0.2, 0.0]) + 0.4 * rng.normal(size=(len(seeds), 3))
+        rewards, _ = tracker.step(actions)
+        for i in live:
+            want = reward_oracle(actions[i], prev[i] if has_prev[i] else None,
+                                 list(crossing_phantom.peaks_at(pos[i])))
+            assert rewards[i] == pytest.approx(want, abs=1e-12)
+            checked[bool(has_prev[i])] += 1
+        assert not rewards[np.setdiff1d(np.arange(len(seeds)), live)].any()
+    assert checked[False] == len(seeds) and checked[True] > len(seeds)
+    assert len(set(tracker.steps)) > 1  # rows finish at different steps
 
 
 def test_batch_matches_single(tube_phantom, env_cfg):
-    """BatchTracker in lockstep equals N independent single-episode envs."""
+    """BatchTracker in lockstep equals N independent one-row trackers."""
     mask = np.argwhere(tube_phantom.mask_for("tube").values > 0)
     seeds = mask[[3, 11, 25]].astype(np.float64)
     actions = [unit(RNG.normal(size=3) + [3, 0, 0]) for _ in range(5)]
@@ -212,19 +251,17 @@ def test_batch_matches_single(tube_phantom, env_cfg):
     for a in actions:
         if not batch.active.any():
             break
-        r, _, _ = batch.step(np.tile(a, (3, 1)))
+        r, _ = batch.step(np.tile(a, (3, 1)))
         batch_rewards.append(r.copy())
 
     for i in range(3):
-        env = TrackingEnv(tube_phantom, "tube", env_cfg)
-        env.reset(seeds[i])
+        single = BatchTracker(tube_phantom, "tube", env_cfg)
+        single.reset(seeds[i])
         for t, a in enumerate(actions[: len(batch_rewards)]):
-            if not env._episode_open:
+            if not single.active[0]:
                 break
-            out = env.step(a)
-            assert out.reward == pytest.approx(float(batch_rewards[t][i]), abs=1e-9)
-            if out.done:
-                break
+            r, _ = single.step([a])
+            assert r[0] == pytest.approx(float(batch_rewards[t][i]), abs=1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -361,7 +398,7 @@ def test_step_live_rows_match_full_batch_step(crossing_phantom, seed, n, wobble,
         got, expect = live.step(actions), full_batch_step(ref, actions)
         assert got[0].tobytes() == expect[0].tobytes()
         np.testing.assert_array_equal(got[1], expect[1])
-        assert list(got[2]) == list(expect[2])
+        assert list(live.reasons) == list(expect[2])
         for attr in ("pos", "history", "points", "prev_dir", "has_prev", "steps", "active"):
             assert getattr(live, attr).tobytes() == getattr(ref, attr).tobytes(), attr
     if len(seeds) > 1 and len(set(ref.steps)) > 1:
