@@ -13,8 +13,8 @@ Stages (each writes its outputs plus a hash manifest into --out):
     report    -> report.txt, printed table
 
 Exit codes: 0 success, 1 bad command line or configuration, missing
-upstream artifact, corrupt checkpoint or failed provenance check,
-2 unexpected runtime failure.
+upstream artifact, unwritable --out, corrupt checkpoint or failed
+provenance check, 2 unexpected runtime failure.
 
 Importing `tractfuse` pins numpy's bundled OpenBLAS to one thread, so every
 stage process, whatever imported numpy first, runs BLAS on one thread and
@@ -136,8 +136,8 @@ def main(argv=None):
                       f"ol {s.ol:.4f} or {s.or_:.4f}")
         elif args.stage == "report":
             print(pipeline.stage_report(args.out), end="")
-    except (pipeline.StageInputError, pipeline.ProvenanceError, config.ConfigError,
-            binio.FormatError) as e:
+    except (pipeline.StageInputError, pipeline.OutputDirError, pipeline.ProvenanceError,
+            config.ConfigError, binio.FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RuntimeError as e:

@@ -8,6 +8,7 @@ is echoed next to the outputs so each run is self-describing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 DEFAULTS = {
@@ -153,7 +154,12 @@ def _coerce(key, raw, errors):
     return raw
 
 
+# Float keys must be finite; an infinite post-filter threshold turns the
+# filter off.
+_INF_ALLOWED = ("track.post_filter_threshold_mm",)
+
 _RANGE_CHECKS = [
+    ("seed", lambda v: v >= 0, ">= 0"),
     ("td3.gamma", lambda v: 0 < v <= 1, "(0, 1]"),
     ("sac.gamma", lambda v: 0 < v <= 1, "(0, 1]"),
     ("ddpg.gamma", lambda v: 0 < v <= 1, "(0, 1]"),
@@ -221,6 +227,10 @@ def resolve_config(text="", preset=None, seed_override=None):
         values[key] = _coerce(key, raw, errors)
     if seed_override is not None:
         values["seed"] = int(seed_override)
+    for key, value in values.items():
+        if (isinstance(value, float) and not math.isfinite(value)
+                and not (key in _INF_ALLOWED and value == math.inf)):
+            errors.append(f"key '{key}': value {value} is not finite")
     for key, check, bound in _RANGE_CHECKS:
         if not check(values[key]):
             errors.append(f"key '{key}': value {values[key]} outside {bound}")

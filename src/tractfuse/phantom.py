@@ -147,15 +147,22 @@ def sh_apodization():
 
 
 def sh_project_peaks(peaks):
-    """Project unit peak directions onto the apodized SH basis; (45,) vector."""
-    peaks = np.asarray(peaks, dtype=np.float64).reshape(-1, 3)
-    if peaks.shape[0] == 0:
-        return np.zeros(N_SH)
-    norms = np.linalg.norm(peaks, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    """Project unit peak directions onto the apodized SH basis.
+
+    peaks: (..., k, 3), one set of k peaks per leading index; a single (3,)
+    direction is one peak. Returns (..., 45): the k apodized basis rows of
+    each set summed in order, so a batched call gives the same bits as one
+    call per set. A set holding a non-unit peak is normalized, with a warning.
+    """
+    peaks = np.atleast_2d(np.asarray(peaks, dtype=np.float64))
+    if peaks.shape[-2] == 0:
+        return np.zeros(peaks.shape[:-2] + (N_SH,))
+    norms = np.linalg.norm(peaks, axis=-1)
+    bad = np.any(np.abs(norms - 1.0) > 1e-6, axis=-1)
+    if np.any(bad):
         warnings.warn("non-unit peak normalized before SH projection")
-        peaks = peaks / norms[:, None]
-    return (sh_basis(peaks) * sh_apodization()).sum(axis=0)
+        peaks = np.where(bad[..., None, None], peaks / norms[..., None], peaks)
+    return (sh_basis(peaks) * sh_apodization()).sum(axis=-2)
 
 
 # -- field sampling -----------------------------------------------------------
@@ -326,10 +333,9 @@ def generate_phantom(spec):
 
     sh = np.zeros(dims + (N_SH,), dtype=np.float32)
     flat_sh = sh.reshape(-1, N_SH)
-    occupied = np.nonzero(flat_counts > 0)[0]
-    for vi in occupied:
-        k = flat_counts[vi]
-        flat_sh[vi] = sh_project_peaks(flat_dirs[vi, :k]).astype(np.float32)
+    for k in range(1, MAX_PEAKS + 1):  # one batched projection per peak count
+        voxels = np.nonzero(flat_counts == k)[0]
+        flat_sh[voxels] = sh_project_peaks(flat_dirs[voxels, :k]).astype(np.float32)
 
     return Phantom(grid=grid, sh=sh, peak_counts=peak_counts, peak_dirs=peak_dirs,
                    masks=masks, bundles=gt)

@@ -28,6 +28,20 @@ class ProvenanceError(RuntimeError):
     consuming stage recorded in its manifest."""
 
 
+class OutputDirError(OSError):
+    """The artifact directory, or an output file in it, cannot be created or
+    written."""
+
+
+def _writable(path):
+    """`path`, once it opens for writing; an existing file keeps its bytes."""
+    try:
+        open(path, "ab").close()
+    except OSError as e:
+        raise OutputDirError(f"cannot write {path}: {e.strerror}") from e
+    return path
+
+
 def _sha256(path):
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -53,7 +67,7 @@ def write_manifest(outdir, stage, cfg, inputs, outputs, extras=None, wall_time=0
         "extras": extras or {},
         "wall_time_s": round(wall_time, 3),
     }
-    path = outdir / f"manifest_{stage}.json"
+    path = _writable(outdir / f"manifest_{stage}.json")
     with open(path, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -75,7 +89,7 @@ class StageRecord:
         return self.inputs[-1]
 
     def write(self, name):
-        self.outputs.append(self.dir / name)
+        self.outputs.append(_writable(self.dir / name))
         return self.outputs[-1]
 
     def finish(self, extras):
@@ -123,7 +137,10 @@ def _hyper(cfg, algo):
 
 def stage_phantom(cfg, outdir):
     rec = StageRecord(outdir, "phantom", cfg)
-    rec.dir.mkdir(parents=True, exist_ok=True)
+    try:
+        rec.dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise OutputDirError(f"cannot create artifact directory {rec.dir}: {e.strerror}") from e
     grid = VoxelGrid(dims=cfg.dims(), voxel_size=cfg["phantom.voxel_size"])
     spec = PhantomSpec(
         grid=grid,
@@ -325,10 +342,10 @@ def stage_report(outdir):
     for bundle_name, algo, s in rows:
         lines.append(f"{bundle_name:<16}{algo:<10}{s.dice:>8.4f}{s.ol:>8.4f}{s.or_:>8.4f}")
     text = "\n".join(lines) + "\n"
-    with open(outdir / "report.txt", "w") as f:
+    with open(_writable(outdir / "report.txt"), "w") as f:
         f.write(text)
     # gnuplot-friendly companion table
-    with open(outdir / "report.dat", "w") as f:
+    with open(_writable(outdir / "report.dat"), "w") as f:
         f.write("# bundle algo dice ol or\n")
         for bundle_name, algo, s in rows:
             f.write(f"{bundle_name} {algo} {s.dice:.4f} {s.ol:.4f} {s.or_:.4f}\n")

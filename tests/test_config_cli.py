@@ -177,6 +177,28 @@ def test_gamma_out_of_range_names_key_and_bound(key, value):
     assert f"key '{key}'" in str(e.value) and bound in str(e.value)
 
 
+FLOAT_KEYS = [k for k, v in DEFAULTS.items() if isinstance(v, float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key):
+    """Every float key must be finite; only the post-filter keeps `inf`
+    (filter off), as test_file_overrides_preset asserts."""
+    for value in ("inf", "-inf", "nan"):
+        if key == "track.post_filter_threshold_mm" and value == "inf":
+            continue
+        with pytest.raises(ConfigError) as e:
+            resolve_config(f"{key} = {value}")
+        assert f"key '{key}'" in str(e.value)
+
+
+def test_negative_seed_rejected():
+    for text, override in (("seed = -1", None), ("", -5)):
+        with pytest.raises(ConfigError, match="key 'seed'.*>= 0"):
+            resolve_config(text, seed_override=override)
+    assert resolve_config("", seed_override=0)["seed"] == 0
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         resolve_config("seed = 1\nseed = 2")
@@ -249,6 +271,43 @@ def test_cli_missing_config_file_exit_1(tmp_path, capsys):
     rc = cli.main(["--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o"), "phantom"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv,cfg_text", [
+    (["--seed", "-5"], ""),
+    ([], "seed = -5\n"),
+    ([], "fusion.lr = inf\n"),
+    ([], "env.neighbor_offset = nan\n"),
+], ids=["negative --seed", "negative seed in file", "infinite lr", "nan offset"])
+def test_cli_bad_setting_exit_1(tmp_path, capsys, argv, cfg_text):
+    p = tmp_path / "run.cfg"
+    p.write_text(DESK_TUBE + cfg_text)
+    rc = cli.main(["--preset", "desk", "--config", str(p), "--out", str(tmp_path / "o")]
+                  + argv + ["phantom"])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_unwritable_out_exit_1(tmp_path, cfg_file, capsys):
+    """An --out under a regular file, or an output path that is a directory,
+    is bad input naming the path; a missing upstream artifact under such an
+    --out is still reported as missing."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "run", blocker):
+        rc = cli.main(["--preset", "desk", "--config", str(cfg_file), "--out", str(out),
+                       "phantom"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"cannot create artifact directory {out}" in err and "internal error" not in err
+    out = tmp_path / "run"
+    (out / "phantom.phn").mkdir(parents=True)
+    assert cli.main(["--preset", "desk", "--config", str(cfg_file), "--out", str(out),
+                     "phantom"]) == 1
+    assert f"cannot write {out / 'phantom.phn'}" in capsys.readouterr().err
+    with pytest.raises(pipeline.StageInputError):
+        pipeline.stage_train_rl(resolve_config(DESK_TUBE, preset="desk"), blocker / "run", "td3")
 
 
 def test_cli_missing_upstream_exit_1(tmp_path, capsys):

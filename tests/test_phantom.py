@@ -1,6 +1,8 @@
 """Spherical-harmonic oracles (quadrature reconstruction, zonal structure,
 antipodal symmetry), trilinear interpolation oracles, and phantom invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,30 @@ def test_projection_warns_on_non_unit_peak():
 
 def test_projection_empty_is_zero():
     np.testing.assert_array_equal(sh_project_peaks(np.zeros((0, 3))), np.zeros(45))
+
+
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),  # axis peaks, signed zeros
+                       st.floats(-1.0, 1.0, allow_nan=False))
+_PEAK = st.tuples(_COMPONENT, _COMPONENT, _COMPONENT).filter(lambda v: max(map(abs, v)) > 1e-3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.integers(0, ph.MAX_PEAKS), n=st.integers(1, 6))
+def test_batched_projection_matches_per_voxel_calls(data, k, n):
+    """One (n, k, 3) call gives the bytes of n stacked (k, 3) calls. Sets
+    left non-unit take the normalizing path, and only those are rescaled."""
+    sets = data.draw(st.lists(st.lists(_PEAK, min_size=k, max_size=k), min_size=n, max_size=n))
+    peaks = np.array(sets, dtype=np.float64).reshape(n, k, 3)
+    unit_sets = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    peaks[unit_sets] /= np.linalg.norm(peaks[unit_sets], axis=-1, keepdims=True)
+    non_unit = np.any(np.abs(np.linalg.norm(peaks, axis=-1) - 1.0) > 1e-6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batched = sh_project_peaks(peaks)
+        stacked = np.stack([sh_project_peaks(p) for p in peaks])
+    assert any("non-unit" in str(w.message) for w in caught) == non_unit
+    assert batched.shape == (n, 45)
+    assert batched.tobytes() == stacked.tobytes()
 
 
 # -- trilinear sampling -------------------------------------------------------
@@ -225,12 +251,24 @@ def test_crossing_pair_two_bundles(crossing_phantom):
     assert max(counts) == 2
 
 
-def test_sh_matches_projection_of_stored_peaks(tube_phantom):
+def test_sh_matches_projection_of_stored_peaks(tube_phantom, crossing_phantom):
     inside = np.argwhere(tube_phantom.mask_for("tube").values > 0)
     v = inside[len(inside) // 2]
     pk = tube_phantom.peaks_at(v)
     expect = sh_project_peaks(pk).astype(np.float32)
     np.testing.assert_array_equal(tube_phantom.sh[v[0], v[1], v[2]], expect)
+    # Every occupied voxel of every centerline kind, bit for bit, against one
+    # unbatched call per voxel; empty voxels hold zeros.
+    arc, helix = (generate_phantom(PhantomSpec(grid=VoxelGrid(dims=(24, 24, 12)),
+                                               bundles=[BundleSpec(name="b", kind=kind, radius=1.5)],
+                                               rng_seed=1))
+                  for kind in ("arc", "helix"))
+    assert {1, 2} <= set(np.unique(crossing_phantom.peak_counts))
+    for p in (tube_phantom, crossing_phantom, arc, helix):
+        occupied = np.argwhere(p.peak_counts > 0)
+        want = np.stack([sh_project_peaks(p.peaks_at(v)).astype(np.float32) for v in occupied])
+        assert p.sh[tuple(occupied.T)].tobytes() == want.tobytes()
+        assert not p.sh[p.peak_counts == 0].any()
 
 
 def test_generation_deterministic():
