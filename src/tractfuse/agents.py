@@ -281,8 +281,7 @@ def _update_actor(bundle, opt, batch, rng):
         if bundle.algo == "sac":
             a, logp = _sac_sample(bundle, st, rng)
             x = concat([st, a], axis=1)
-            q = minimum(*(c(x) for c in bundle.critics)) if len(bundle.critics) == 2 \
-                else bundle.critics[0](x)
+            q = minimum(bundle.critics[0](x), bundle.critics[1](x))
             loss = (bundle.hyper.alpha * logp - q[:, 0]).mean()
         else:
             a = tanh(bundle.actor(st))

@@ -234,10 +234,13 @@ def resolve_config(text="", preset=None, seed_override=None):
     for key, check, bound in _RANGE_CHECKS:
         if not check(values[key]):
             errors.append(f"key '{key}': value {values[key]} outside {bound}")
-    dims_raw = str(values["phantom.dims"]).split(",")
-    if len(dims_raw) != 3 or any(not d.strip().lstrip("-").isdigit() for d in dims_raw):
+    try:
+        dims = [int(d) for d in str(values["phantom.dims"]).split(",")]
+    except ValueError:
+        dims = []
+    if len(dims) != 3:
         errors.append(f"key 'phantom.dims': expected 3 comma-separated ints, got {values['phantom.dims']!r}")
-    elif any(int(d) < 8 for d in dims_raw):
+    elif min(dims) < 8:
         errors.append("key 'phantom.dims': each dimension must be >= 8")
     if values["phantom.kind"] not in ("straight-tube", "arc", "helix", "crossing-pair"):
         errors.append(f"key 'phantom.kind': unknown kind {values['phantom.kind']!r}")
@@ -247,6 +250,9 @@ def resolve_config(text="", preset=None, seed_override=None):
 
 
 def load_config(path, preset=None, seed_override=None):
-    with open(path) as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"]) from None
     return resolve_config(text, preset=preset, seed_override=seed_override)

@@ -5,6 +5,11 @@ multi-critic policy fine-tuning (MCPFT).
 Token layout per timestep: (rtg, state, action). The action for timestep t
 is predicted from the transformer output at the state token, so it can see
 rtg_<=t, s_<=t and a_<t but never a_t.
+
+`FusionModel.predict_actions` is the one forward pass, for training and
+inference alike. `act` runs it under `autodiff.no_grad`, where the tape
+records nothing and `nn.GptBlockStack.__call__`, the one tape-off switch,
+sends the transformer through the numpy `infer` of each layer.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import (Tensor, arccos_clamped, concat, frozen, grad_enabled, minimum, no_grad,
-                       sqrt, tanh)
+from .autodiff import Tensor, arccos_clamped, concat, frozen, minimum, no_grad, sqrt, tanh
 from .env import ACTION_DIM, BatchTracker, STATE_DIM
 
 
@@ -111,8 +115,9 @@ class FusionModel:
         rtg: (B,T); states: (B,T,334); actions: (B,T,3) recorded actions
         (teacher forcing; causality keeps a_t hidden from its own prediction).
         pad_mask: (B,T) with 1 = real timestep. Returns a (B,T,3) tensor.
-        With the tape off and not training it runs the numpy path of `nn`,
-        which gives the same bits.
+        Training needs `rng` for the dropout draws. Under `no_grad` the
+        embeddings and head record nothing, and the transformer runs its
+        numpy path (`GptBlockStack.__call__` decides), with the same bits.
         """
         rtg = np.asarray(rtg, dtype=np.float32)
         b, t = rtg.shape
@@ -125,39 +130,17 @@ class FusionModel:
         tok_mask = None
         if pad_mask is not None:
             tok_mask = np.repeat(np.asarray(pad_mask), 3, axis=1)
-        if not grad_enabled() and not training:
-            return Tensor(self._infer(rtg, states, actions, tok_mask))
         e_r = self.embed_rtg(Tensor(rtg[..., None]))
         e_s = self.embed_state(Tensor(states))
         e_a = self.embed_action(Tensor(actions))
         # interleave to (B, 3T, width)
         tok = concat([e_r.reshape(b, t, 1, -1), e_s.reshape(b, t, 1, -1),
                       e_a.reshape(b, t, 1, -1)], axis=2).reshape(b, 3 * t, -1)
-        rng = rng if rng is not None else np.random.default_rng(0)
         out = self.gpt(tok, training=training, rng=rng, pad_mask=tok_mask)
         state_tok = out.reshape(b, t, 3, -1)[:, :, 1, :]
         raw = tanh(self.head(state_tok))
         norm = sqrt((raw * raw).sum(axis=-1, keepdims=True) + 1e-8)
         return raw / norm
-
-    def _infer(self, rtg, states, actions, tok_mask):
-        """`predict_actions` as numpy, for float32 inputs; the model is
-        entered through `GptBlockStack.__call__`, which runs its numpy path."""
-        b, t = rtg.shape
-        tok = np.empty((b, t, 3, self.config.width), dtype=np.float32)
-        tok[:, :, 0] = self.embed_rtg.infer(rtg[..., None])
-        tok[:, :, 1] = self.embed_state.infer(states)
-        tok[:, :, 2] = self.embed_action.infer(actions)
-        out = self.gpt(tok.reshape(b, 3 * t, -1), pad_mask=tok_mask).data
-        del tok
-        raw = self.head.infer(out.reshape(b, t, 3, -1)[:, :, 1, :].copy())
-        del out
-        np.tanh(raw, out=raw)
-        norm = (raw * raw).sum(axis=-1, keepdims=True)
-        norm += np.float32(1e-8)
-        np.sqrt(norm, out=norm)
-        raw /= norm
-        return raw
 
     def act(self, rtg, states, actions, pad_mask=None):
         """Numpy action for the latest timestep of each window (inference)."""

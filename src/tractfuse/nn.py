@@ -13,7 +13,10 @@ Each layer also has `infer`, a tape-free numpy forward for inference. It
 works in place, frees each temporary once used, and gives the taped
 forward's bits: it keeps the tape's operands (contiguous copies where
 `Tensor.__getitem__` and `Tensor.swapaxes` copy, float32 scalars where
-`Tensor.as_tensor` casts one) and its operation order.
+`Tensor.as_tensor` casts one) and its operation order. One switch picks
+the path: `GptBlockStack.__call__` runs `infer` under `autodiff.no_grad`
+when not training. Nothing else asks whether the tape is on; callers that
+want `Mlp.infer` call it by name.
 """
 
 from __future__ import annotations
@@ -223,12 +226,15 @@ class GptBlockStack:
 
     def __call__(self, tok_emb, training=False, rng=None, pad_mask=None):
         """Taped forward; with the tape off (`no_grad`) and not training, the
-        numpy path `infer`, wrapped in an untracked Tensor."""
+        numpy path `infer`, wrapped in an untracked Tensor. This is the
+        package's one tape-off switch. Training draws its dropout masks from
+        `rng`, which it therefore needs."""
+        if training and rng is None:
+            raise ValueError("GptBlockStack: a training forward needs an rng for its dropout draws")
         if not grad_enabled() and not training:
             return Tensor(self.infer(tok_emb, pad_mask))
         tok_emb = Tensor.as_tensor(tok_emb)
         causal, pad_bias = self._biases(tok_emb, pad_mask)
-        rng = rng if rng is not None else np.random.default_rng(0)
         x = tok_emb + self.pos[:tok_emb.shape[-2]]
         for block in self.blocks:
             x = block(x, causal, pad_bias, rng, training)

@@ -1,8 +1,13 @@
 """Configuration parsing/validation and CLI behavior (exit codes, seed
 override, manifests, provenance verification)."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +15,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractfuse import agents, cli, eds, pipeline
 from tractfuse.config import (_RANGE_CHECKS, DEFAULTS, ConfigError,
@@ -273,6 +280,19 @@ def test_cli_missing_config_file_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("raw,named", [
+    (b"phantom.dims = --12,8,8\n", "phantom.dims"),
+    (b"seed = 1\xff\n", "not UTF-8"),
+], ids=["doubled sign in dims", "not UTF-8"])
+def test_cli_malformed_config_file_exit_1(tmp_path, capsys, raw, named):
+    """Both used to escape `cli.main` as a bare ValueError traceback."""
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(raw)
+    assert cli.main(["--config", str(p), "--out", str(tmp_path / "o"), "phantom"]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and named in err
+
+
 @pytest.mark.parametrize("argv,cfg_text", [
     (["--seed", "-5"], ""),
     ([], "seed = -5\n"),
@@ -287,6 +307,108 @@ def test_cli_bad_setting_exit_1(tmp_path, capsys, argv, cfg_text):
     assert rc == 1
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# -- every key: values the config checks must reject --------------------------
+
+KINDS = ("straight-tube", "arc", "helix", "crossing-pair")
+_NUMBER = r"-?[0-9.]+"
+
+
+def _past_bound(bound, as_int):
+    """Values outside one `_RANGE_CHECKS` bound text ("> 0", ">= 1 voxel",
+    "(0, 1]", ...): the value just past each edge, or any value beyond it."""
+    lower = re.fullmatch(rf"(>=?) ({_NUMBER})( \w+)?", bound)
+    pair = re.fullmatch(rf"([(\[])({_NUMBER}), ({_NUMBER})([)\]])", bound)
+    assert lower or pair, f"unparsed bound {bound!r}"
+    if lower:
+        edges = [(lower[1] == ">=", float(lower[2]), -math.inf)]
+    else:
+        edges = [(pair[1] == "[", float(pair[2]), -math.inf),
+                 (pair[4] == "]", float(pair[3]), math.inf)]
+    out = []
+    for inclusive, edge, away in edges:
+        if as_int:
+            past = int(edge) + (int(math.copysign(1, away)) if inclusive else 0)
+        else:
+            past = math.nextafter(edge, away) if inclusive else edge
+        lo, hi = (None, past) if away < 0 else (past, None)
+        beyond = (st.integers(lo, hi) if as_int
+                  else st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+        out += [st.just(repr(past)), beyond.map(repr)]
+    return out
+
+
+def _not_a_number(as_int):
+    """Text that `int` (or `float`) cannot parse."""
+    words = st.text(string.ascii_letters + " _.,+-", max_size=8).filter(
+        lambda w: w.strip().lower().lstrip("+-") not in ("nan", "inf", "infinity"))
+    junk = st.tuples(st.integers(-999, 999), st.sampled_from(["x", " 1", ",2", "..", "e", "%"])
+                     ).map(lambda t: f"{t[0]}{t[1]}")
+    out = [words, junk]
+    if as_int:  # a float's repr always has a '.' or an exponent
+        out.append(st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    return out
+
+
+def _valid_dim(part):
+    try:
+        return int(part) >= 8
+    except ValueError:
+        return False
+
+
+def _bad_dims():
+    signed = st.tuples(st.sampled_from(["-", "--", "+", "+-", "-+", "++"]), st.integers(0, 99))
+    part = st.one_of(st.integers(8, 64).map(str),
+                     st.integers(max_value=7).map(str),
+                     signed.map(lambda t: f"{t[0]}{t[1]}"),
+                     st.text("0123456789+-. ex", max_size=4))
+    wrong_count = st.lists(part, max_size=5).filter(lambda ps: len(ps) != 3)
+    one_bad = st.lists(part, min_size=3, max_size=3).filter(
+        lambda ps: not all(map(_valid_dim, ps)))
+    return st.one_of(wrong_count, one_bad).map(",".join)
+
+
+def bad_values(key):
+    """Every kind of value for `key` that the config checks must reject."""
+    ref = DEFAULTS[key]
+    if key == "phantom.dims":
+        return _bad_dims()
+    if key == "phantom.kind":
+        return st.text(string.ascii_letters + string.digits + " -_.", max_size=14).filter(
+            lambda k: k.strip() not in KINDS)
+    as_int = isinstance(ref, int)
+    out = _not_a_number(as_int)
+    if not as_int:
+        non_finite = ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400"]
+        out.append(st.sampled_from([v for v in non_finite if not (
+            key == "track.post_filter_threshold_mm" and float(v) == math.inf)]))
+    bound = {k: b for k, _, b in _RANGE_CHECKS}.get(key)
+    if bound is not None:
+        out += _past_bound(bound, as_int)
+    return st.one_of(out)
+
+
+@pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "phantom.name"])
+def test_cli_rejects_every_bad_value(tmp_path_factory, key):
+    """For each key, out-of-range, non-finite, unparseable and malformed
+    values stop the phantom stage with exit 1 and `config error:`, never
+    an internal error (exit 2)."""
+    root = tmp_path_factory.mktemp("cfg")
+    cfg, out = root / "run.cfg", root / "o"
+
+    @settings(max_examples=15, deadline=None)
+    @given(value=bad_values(key))
+    def check(value):
+        cfg.write_text(f"{key} = {value}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["--config", str(cfg), "--out", str(out), "phantom"])
+        assert rc == 1, (value, err.getvalue())
+        assert "config error:" in err.getvalue()
+
+    check()
 
 
 def test_cli_unwritable_out_exit_1(tmp_path, cfg_file, capsys):

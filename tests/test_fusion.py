@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import keep_all_on_tape, traced_peak
-from tractfuse import agents, eds, fusion
+from tractfuse import agents, eds, fusion, nn
 from tractfuse.autodiff import Tensor
 from tractfuse.eds import TrajectoryRecord, compute_rtg
 from tractfuse.env import ACTION_DIM, STATE_DIM
@@ -147,6 +147,35 @@ def test_act_row_subset_invariant(shape, b, data):
     full = m.act(rtg, s, a, pad_mask=valid)
     part = m.act(rtg[rows], s[rows], a[rows], pad_mask=valid[rows])
     assert part.tobytes() == full[rows].tobytes()
+
+
+def test_act_runs_the_numpy_transformer_once(monkeypatch):
+    """`act` enters the transformer once, through its numpy path; the taped
+    blocks never run. Bytes alone cannot tell the two paths apart."""
+    m = shaped_model(*SHAPES[0])
+    rtg, s, a, valid = ragged_windows(5, SHAPES[0][0], 1)
+    calls = {"infer": 0, "taped": 0}
+    infer, taped = nn.GptBlockStack.infer, nn.TransformerBlock.__call__
+
+    def counting_infer(self, *args, **kwargs):
+        calls["infer"] += 1
+        return infer(self, *args, **kwargs)
+
+    def counting_taped(self, *args, **kwargs):
+        calls["taped"] += 1
+        return taped(self, *args, **kwargs)
+
+    monkeypatch.setattr(nn.GptBlockStack, "infer", counting_infer)
+    monkeypatch.setattr(nn.TransformerBlock, "__call__", counting_taped)
+    m.act(rtg, s, a, pad_mask=valid)
+    assert calls == {"infer": 1, "taped": 0}
+
+
+def test_training_forward_without_rng_raises():
+    m = tiny_model()
+    rtg, s, a = window()
+    with pytest.raises(ValueError, match="rng"):
+        m.predict_actions(rtg, s, a, training=True)
 
 
 # -- angular loss -------------------------------------------------------------

@@ -166,6 +166,19 @@ def test_gpt_call_without_tape_runs_infer(monkeypatch):
     assert out._grad_fn is None and not out.requires_grad
 
 
+def test_gpt_training_forward_without_rng_raises():
+    """Training draws dropout masks, so it must be handed an rng: a silent
+    seed-0 fallback would give every such call the same masks."""
+    gpt = nn.GptBlockStack(width=8, n_blocks=1, n_tokens=6, p_drop=0.5,
+                           rng=np.random.default_rng(0))
+    x = RNG.normal(size=(2, 6, 8)).astype(np.float32)
+    with pytest.raises(ValueError, match="rng"):
+        gpt(x, training=True)
+    with no_grad(), pytest.raises(ValueError, match="rng"):
+        gpt(x, training=True)
+    gpt(x)  # inference reads no rng
+
+
 def test_mlp_infer_matches_forward_and_keeps_nan():
     mlp = nn.Mlp(9, 3, hidden=48, rng=np.random.default_rng(2))
     spread(mlp.params(), 2)
