@@ -113,10 +113,10 @@ class PolicyBundle:
             dst.b.data[...] = src.b.data
         return out
 
-    def soft_update(self, tau=None):
+    def soft_update(self):
         """Polyak-average every target array in place:
-        `dst = (1 - tau)*dst + tau*src`."""
-        tau = self.hyper.tau if tau is None else tau
+        `dst = (1 - tau)*dst + tau*src` with `tau = hyper.tau`."""
+        tau = self.hyper.tau
         pairs = list(zip(self.target_actor.layers, self.actor.layers))
         for tc, c in zip(self.target_critics, self.critics):
             pairs.extend(zip(tc.layers, c.layers))

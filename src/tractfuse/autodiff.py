@@ -393,13 +393,16 @@ def softmax(x, axis=-1):
         y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
-def layernorm(x, eps=1e-5):
+LAYERNORM_EPS = 1e-5  # also read by nn.LayerNorm.infer, which must give the same bits
+
+
+def layernorm(x):
     """Normalize the last axis to zero mean, unit variance (no affine)."""
     x = Tensor.as_tensor(x)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     y = xc * inv
 
     def grad_fn(g):

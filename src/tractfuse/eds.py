@@ -18,7 +18,7 @@ import numpy as np
 from . import binio
 from .agents import ALGOS
 from .env import ACTION_DIM, BatchTracker, STATE_DIM, jittered_seeds, peak_hints
-from .geometry import MDF_POINTS, build_reference_set, min_mdf_to_refs
+from .geometry import build_reference_set, min_mdf_to_refs
 
 EDS_MAGIC = b"EDS1"
 MIN_TRANSITIONS = 47
@@ -206,8 +206,7 @@ def build_datasets(phantom, policies, env_cfg, spec, pretrain_target, finetune_t
         gt = phantom.bundles.get(bundle)
         if not gt:
             raise EdsError(f"phantom has no ground-truth streamlines for '{bundle}'")
-        refs = build_reference_set(gt, count=spec.reference_count,
-                                   voxel_size=voxel_size, k=MDF_POINTS)
+        refs = build_reference_set(gt, count=spec.reference_count, voxel_size=voxel_size)
         datasets.finetune.setdefault(bundle, [])
         for origin in _sweep_origins(mask_obj.values, spec.window):
             grouped = harvest(policies, phantom, bundle, origin, spec, env_cfg, rng)

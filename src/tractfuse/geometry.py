@@ -52,7 +52,7 @@ def mdf(a, b, voxel_size=1.0):
     return np.minimum(direct, flipped) * voxel_size
 
 
-def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
+def farthest_sample(pool, n, start_index=None, voxel_size=1.0):
     """Greedy max-min MDF selection of n streamlines from the pool.
 
     Returns (selected resampled streamlines, selected indices) in selection
@@ -61,7 +61,7 @@ def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
     """
     if n > len(pool):
         raise GeometryError(f"cannot sample {n} from pool of {len(pool)}")
-    res = np.stack([resample(s, k) for s in pool])
+    res = np.stack([resample(s, MDF_POINTS) for s in pool])
     dists = np.zeros((len(res), len(res)))
     for i in range(len(res) - 1):
         # mdf(res[i], res[j]) for j > i; the reversed order can differ in the last bit
@@ -82,12 +82,12 @@ def farthest_sample(pool, n, start_index=None, voxel_size=1.0, k=MDF_POINTS):
     return [res[i] for i in chosen], chosen
 
 
-def min_mdf_to_refs(streamlines, refs, voxel_size=1.0, k=MDF_POINTS):
+def min_mdf_to_refs(streamlines, refs, voxel_size=1.0):
     """Minimum MDF (mm) from each streamline to a nonempty list of resampled
     references; an `(N,)` array for N streamlines."""
     if len(refs) == 0:
         raise GeometryError("min_mdf_to_refs needs a nonempty reference set")
-    res = np.reshape([resample(s, k) for s in streamlines], (-1, k, 3))
+    res = np.reshape([resample(s, MDF_POINTS) for s in streamlines], (-1, MDF_POINTS, 3))
     best = np.full(len(res), np.inf)
     for ref in refs:
         np.minimum(best, mdf(res, ref, voxel_size), out=best)
@@ -120,9 +120,9 @@ def load_streamlines(path):
     return out, float(voxel_size)
 
 
-def build_reference_set(gt_streamlines, count, voxel_size=1.0, k=MDF_POINTS):
+def build_reference_set(gt_streamlines, count, voxel_size=1.0):
     """Reference streamlines for one bundle via farthest sampling of ground
     truth; a `count` above the pool size takes the whole pool."""
     refs, _ = farthest_sample(gt_streamlines, min(count, len(gt_streamlines)),
-                              voxel_size=voxel_size, k=k)
+                              voxel_size=voxel_size)
     return refs

@@ -4,10 +4,12 @@ Built on the autodiff tape in `autodiff`. Architectures follow the fixed
 shapes used by the pipeline: 3-hidden-layer ReLU MLPs for actors/critics
 and a 4-block single-head causal transformer for the fusion policy.
 
-An `AdamW` owns the storage of the parameters it trains: their `data` are
-views into its flat buffer. Anything that writes a parameter (the optimizer,
-`assign_params`, target-net soft updates) writes `p.data` in place; rebinding
-`p.data` detaches the parameter from its optimizer.
+`AdamW(params, lr, warmup=0)`, the optimizer of every training stage, owns
+the storage of the parameters it trains: their `data` are views into its
+flat buffer, and a step updates all of them in one pass, so each needs a
+gradient. Anything that writes a parameter (the optimizer, `assign_params`,
+target-net soft updates) writes `p.data` in place; rebinding `p.data`
+detaches the parameter from its optimizer.
 
 Each layer also has `infer`, a tape-free numpy forward for inference. It
 works in place, frees each temporary once used, and gives the taped
@@ -26,10 +28,13 @@ import struct
 import numpy as np
 
 from . import binio
-from .autodiff import Tensor, concat, dropout, grad_enabled, layernorm, relu, relu_np, softmax
+from .autodiff import (LAYERNORM_EPS, Tensor, concat, dropout, grad_enabled, layernorm, relu,
+                       relu_np, softmax)
 
 CKP_MAGIC = b"CKP1"
 _META_PREFIX = "__meta__/"
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(binio.FormatError):
@@ -116,7 +121,7 @@ class LayerNorm:
         sq = y * y
         inv = sq.mean(axis=-1, keepdims=True)  # the variance, inverted in place
         del sq
-        inv += 1e-5  # layernorm's eps
+        inv += LAYERNORM_EPS
         np.sqrt(inv, out=inv)
         np.divide(1.0, inv, out=inv)
         y *= inv
@@ -289,13 +294,9 @@ class AdamW:
     `p.data`: `step` raises `StaleParameterError` for a rebound parameter.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0, warmup=0):
+    def __init__(self, params, lr, warmup=0):
         self.params = dict(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.warmup = warmup
         self.step_count = 0
         dtypes = {p.data.dtype for p in self.params.values()}
@@ -321,36 +322,33 @@ class AdamW:
         return self.lr
 
     def step(self):
-        with_grad = []
+        """Update every parameter. A caller hands `AdamW` only what it trains,
+        so a missing gradient, like a non-finite one or a rebound parameter,
+        raises before anything is written."""
         for name, p in self.params.items():
             if p.data.base is not self.flat:
                 raise StaleParameterError(
                     f"parameter '{name}' was rebound after AdamW took over its storage; "
                     "write p.data in place")
-            if p.grad is not None:
-                grad = self._grad[self.segments[name]].reshape(p.data.shape)
-                np.copyto(grad, p.grad, casting="unsafe")
-                with_grad.append(name)
-        # one pass over the whole buffer, or one per segment when some
-        # parameters have no gradient and must keep their m, v and data
-        segs = [slice(None)] if len(with_grad) == len(self.params) \
-            else [self.segments[name] for name in with_grad]
-        if not all(np.isfinite(self._grad[seg]).all() for seg in segs):
-            name = next(k for k in with_grad
-                        if not np.isfinite(self._grad[self.segments[k]]).all())
+            if p.grad is None:
+                raise ValueError(f"parameter '{name}' has no gradient; step rejected")
+            grad = self._grad[self.segments[name]].reshape(p.data.shape)
+            np.copyto(grad, p.grad, casting="unsafe")
+        if not np.isfinite(self._grad).all():
+            name = next(k for k, seg in self.segments.items()
+                        if not np.isfinite(self._grad[seg]).all())
             raise ValueError(f"non-finite gradient for parameter '{name}'; step rejected")
         lr_eff = self.effective_lr()
         self.step_count += 1
-        for seg in segs:
-            self._update(seg, lr_eff)
+        self._update(lr_eff)
 
-    def _update(self, seg, lr_eff):
-        """One AdamW step on `flat[seg]`. Each ufunc keeps the operand order
-        and the Python-float scalars of the formula in its comment, so the
-        bits equal those of the same formula evaluated per parameter."""
-        b1, b2 = self.betas
+    def _update(self, lr_eff):
+        """One AdamW step on the whole buffer. Each ufunc keeps the operand
+        order and the Python-float scalars of the formula in its comment, so
+        the bits equal those of the same formula evaluated per parameter."""
+        b1, b2 = ADAM_BETAS
         t = self.step_count
-        x, g, m, v, s1 = (a[seg] for a in (self.flat, self._grad, self.m, self.v, self._scratch))
+        x, g, m, v, s1 = self.flat, self._grad, self.m, self.v, self._scratch
         np.multiply(b1, m, out=m)
         np.multiply(1 - b1, g, out=s1)
         np.add(m, s1, out=m)                     # m = b1*m + (1-b1)*g
@@ -362,11 +360,8 @@ class AdamW:
         np.divide(m, 1 - b1 ** t, out=s1)        # mhat
         np.divide(v, 1 - b2 ** t, out=s2)        # vhat
         np.sqrt(s2, out=s2)
-        np.add(s2, self.eps, out=s2)
+        np.add(s2, ADAM_EPS, out=s2)
         np.divide(s1, s2, out=s1)                # upd = mhat / (sqrt(vhat) + eps)
-        if self.weight_decay:
-            np.multiply(self.weight_decay, x, out=s2)
-            np.add(s1, s2, out=s1)               # upd + wd*x
         np.multiply(lr_eff, s1, out=s1)
         np.subtract(x, s1, out=x)                # x - lr_eff*upd
 

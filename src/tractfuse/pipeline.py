@@ -272,10 +272,8 @@ def stage_track(cfg, outdir, algo, bundle_name):
                                post_filter_threshold_mm=cfg["track.post_filter_threshold_mm"])
     seed = cfg["seed"] + 8000
     if algo == "fusion":
-        ckp = f"fusion_mcpft_{bundle_name}.ckp"
-        if not (rec.dir / ckp).exists():
-            ckp = f"fusion_finetuned_{bundle_name}.ckp"
-        model, _ = fusion.FusionModel.load(rec.read(ckp, f"finetune --bundle {bundle_name}"))
+        model, _ = fusion.FusionModel.load(
+            rec.read(f"fusion_mcpft_{bundle_name}.ckp", f"mcpft --bundle {bundle_name}"))
         streams = trackeval.track_fusion(model, phantom, bundle_name, tc, env_cfg, seed=seed)
     else:
         if algo in agents.ALGOS:

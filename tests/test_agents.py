@@ -91,8 +91,9 @@ def test_soft_update_exact():
 
 
 def test_soft_update_tau_one_copies():
-    p = PolicyBundle("sac", hidden=8, seed=3)
-    p.soft_update(tau=1.0)
+    p = PolicyBundle("sac", hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9, tau=1.0),
+                     hidden=8, seed=3)
+    p.soft_update()
     for tc, c in zip(p.target_critics, p.critics):
         for lt, lc in zip(tc.layers, c.layers):
             np.testing.assert_allclose(lt.w.data, lc.w.data, rtol=1e-6)

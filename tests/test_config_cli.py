@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractfuse import agents, cli, eds, pipeline
+from tractfuse import agents, cli, eds, fusion, pipeline
 from tractfuse.config import (_RANGE_CHECKS, DEFAULTS, ConfigError,
                               parse_config_text, resolve_config)
 from tractfuse.eds import EdsError
@@ -628,6 +628,23 @@ def test_cli_truncated_dataset_exit_1(tmp_path, cfg_file, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert str(data) in err and "internal error" not in err
+
+
+def test_cli_track_fusion_needs_mcpft_checkpoint(tmp_path, cfg_file, capsys):
+    """Fusion tracking reads the MCPFT checkpoint only; a fine-tuned one
+    alone is not tracked, and the error names the stage to run."""
+    out = tmp_path / "run"
+    argv = ["--preset", "desk", "--config", str(cfg_file), "--out", str(out)]
+    assert cli.main(argv + ["phantom"]) == 0
+    cfg = resolve_config(DESK_TUBE, preset="desk")
+    fusion.FusionModel(pipeline._fusion_config(cfg)).save(
+        out / "fusion_finetuned_bundle.ckp", stage="finetuned:bundle")
+    capsys.readouterr()
+    rc = cli.main(argv + ["track", "--algo", "fusion", "--bundle", "bundle"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(out / "fusion_mcpft_bundle.ckp") in err and "mcpft --bundle bundle" in err
+    assert not (out / "tracks_fusion_bundle.stl").exists()
 
 
 def test_report_without_scores_exit_1(tmp_path, capsys):

@@ -384,6 +384,17 @@ def test_mcpft_counters_and_critic_updates(tube_phantom, env_cfg, tiny_policies)
         assert log["critic_updates"][name] == [1, 1]
 
 
+def test_mcpft_zero_iterations_keeps_bytes(tube_phantom, env_cfg, tiny_policies):
+    """`mcpft.iters = 0` is how a run tracks the fine-tuned weights: every
+    parameter keeps its bytes."""
+    m = tiny_model()
+    before = params_bytes(m.params())
+    log = fusion.mcpft(m, tiny_policies, make_records(), tube_phantom, "tube", env_cfg,
+                       McpftSchedule(iterations=0), seed=0)
+    assert log["actor_updates"] == []
+    assert params_bytes(m.params()) == before
+
+
 def test_mcpft_pruned_tape_same_bytes(monkeypatch, backward_log, tube_phantom, env_cfg):
     """MCPFT actor updates with the critics frozen give the bytes of the
     full tape, where the critic grads were computed and thrown away."""

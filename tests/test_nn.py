@@ -191,7 +191,7 @@ def test_mlp_infer_matches_forward_and_keeps_nan():
 
 # -- AdamW --------------------------------------------------------------------
 
-def adamw_oracle(x0, grads, lr, betas=(0.9, 0.999), eps=1e-8, wd=0.0, warmup=0):
+def adamw_oracle(x0, grads, lr, betas=(0.9, 0.999), eps=1e-8, warmup=0):
     """Straight transcription of AdamW with bias correction and warmup."""
     x = np.asarray(x0, dtype=np.float64).copy()
     m = np.zeros_like(x)
@@ -202,20 +202,20 @@ def adamw_oracle(x0, grads, lr, betas=(0.9, 0.999), eps=1e-8, wd=0.0, warmup=0):
         v = betas[1] * v + (1 - betas[1]) * g * g
         mhat = m / (1 - betas[0] ** t)
         vhat = v / (1 - betas[1] ** t)
-        x = x - lr_eff * (mhat / (np.sqrt(vhat) + eps) + wd * x)
+        x = x - lr_eff * (mhat / (np.sqrt(vhat) + eps))
     return x
 
 
-@pytest.mark.parametrize("wd,warmup", [(0.0, 0), (0.01, 0), (0.0, 3)])
-def test_adamw_matches_oracle(wd, warmup):
+@pytest.mark.parametrize("warmup", [0, 3])
+def test_adamw_matches_oracle(warmup):
     p = nn.parameter(np.array([1.0, -2.0, 0.5]))
     p.data = p.data.astype(np.float64)
-    opt = nn.AdamW({"p": p}, lr=0.1, weight_decay=wd, warmup=warmup)
+    opt = nn.AdamW({"p": p}, lr=0.1, warmup=warmup)
     grads = [RNG.normal(size=3) for _ in range(6)]
     for g in grads:
         p.grad = g
         opt.step()
-    expect = adamw_oracle([1.0, -2.0, 0.5], grads, lr=0.1, wd=wd, warmup=warmup)
+    expect = adamw_oracle([1.0, -2.0, 0.5], grads, lr=0.1, warmup=warmup)
     np.testing.assert_allclose(p.data, expect, rtol=1e-12)
 
 
@@ -237,11 +237,19 @@ def test_adamw_rejects_nonfinite_grad():
         opt.step()
 
 
-def test_adamw_skips_gradless_params():
-    p = nn.parameter(np.ones(2))
-    opt = nn.AdamW({"p": p}, lr=0.1)
+def test_adamw_gradless_param_is_named():
+    """A parameter without a gradient is a wiring fault: the step names it
+    and writes nothing, so no bias correction moves on a skipped step."""
+    p, q = nn.parameter(np.ones(3)), nn.parameter(np.zeros(2))
+    opt = nn.AdamW({"p": p, "q": q}, lr=0.1)
+    p.grad, q.grad = np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)
     opt.step()
-    np.testing.assert_array_equal(p.data, np.ones(2))
+    before = [a.tobytes() for a in (opt.flat, opt.m, opt.v)]
+    p.grad, q.grad = np.ones(3, dtype=np.float32), None
+    with pytest.raises(ValueError, match="'q'"):
+        opt.step()
+    assert [a.tobytes() for a in (opt.flat, opt.m, opt.v)] == before
+    assert opt.step_count == 1
 
 
 class PerParamAdamW:
@@ -249,13 +257,11 @@ class PerParamAdamW:
     flat buffer: every array is rebound, nothing is written in place. Kept as
     the bit-level reference for `nn.AdamW`."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0, warmup=0):
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, warmup=0):
         self.params = dict(params)
         self.lr = lr
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.warmup = warmup
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -268,47 +274,39 @@ class PerParamAdamW:
 
     def step(self):
         for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            if not np.all(np.isfinite(p.grad)):
                 raise ValueError(f"non-finite gradient for parameter '{name}'; step rejected")
         lr_eff = self.effective_lr()
         self.step_count += 1
         b1, b2 = self.betas
         t = self.step_count
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            g = g.astype(p.data.dtype)
+            g = p.grad.astype(p.data.dtype)
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
             mhat = self.m[name] / (1 - b1 ** t)
             vhat = self.v[name] / (1 - b2 ** t)
             upd = mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay:
-                upd = upd + self.weight_decay * p.data
             p.data = (p.data - lr_eff * upd).astype(p.data.dtype)
 
 
 @settings(max_examples=80, deadline=None)
 @given(shapes=st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), min_size=1, max_size=6),
-       dtype=st.sampled_from([np.float32, np.float64]), wd=st.sampled_from([0.0, 0.01]),
+       dtype=st.sampled_from([np.float32, np.float64]),
        warmup=st.sampled_from([0, 3]), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_adamw_flat_step_matches_per_param_step(shapes, dtype, wd, warmup, seed, data):
+def test_adamw_flat_step_matches_per_param_step(shapes, dtype, warmup, seed, data):
     """One in-place pass over the flat buffer gives the bits of the
-    per-parameter step: data, m and v, over several steps, with a random
-    subset of parameters gradless on each step."""
+    per-parameter step: data, m and v, over several steps."""
     rng = np.random.default_rng(seed)
     init = {f"p{i}": rng.normal(size=shape).astype(dtype) for i, shape in enumerate(shapes)}
     mine = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
     ref = {k: Tensor(x.copy(), requires_grad=True) for k, x in init.items()}
-    opt = nn.AdamW(mine, lr=0.05, weight_decay=wd, warmup=warmup)
-    ref_opt = PerParamAdamW(ref, lr=0.05, weight_decay=wd, warmup=warmup)
+    opt = nn.AdamW(mine, lr=0.05, warmup=warmup)
+    ref_opt = PerParamAdamW(ref, lr=0.05, warmup=warmup)
     for _ in range(data.draw(st.integers(1, 6), label="steps")):
-        gradless = data.draw(st.sets(st.sampled_from(sorted(init))), label="gradless")
         for k, x in init.items():
-            g = None if k in gradless else \
-                (rng.normal(size=x.shape) * 10.0 ** rng.uniform(-4, 2)).astype(dtype)
-            mine[k].grad, ref[k].grad = g, None if g is None else g.copy()
+            g = (rng.normal(size=x.shape) * 10.0 ** rng.uniform(-4, 2)).astype(dtype)
+            mine[k].grad, ref[k].grad = g, g.copy()
         opt.step()
         ref_opt.step()
         assert opt.step_count == ref_opt.step_count
