@@ -242,6 +242,11 @@ def resolve_config(text="", preset=None, seed_override=None):
         errors.append(f"key 'phantom.dims': expected 3 comma-separated ints, got {values['phantom.dims']!r}")
     elif min(dims) < 8:
         errors.append("key 'phantom.dims': each dimension must be >= 8")
+    name = values["phantom.name"]
+    if not name or "/" in name or any(ch.isspace() for ch in name):
+        # the name becomes part of artifact file names and of scores.tsv rows
+        errors.append(f"key 'phantom.name': {name!r} must be non-empty, "
+                      "without whitespace or '/'")
     if values["phantom.kind"] not in ("straight-tube", "arc", "helix", "crossing-pair"):
         errors.append(f"key 'phantom.kind': unknown kind {values['phantom.kind']!r}")
     if errors:

@@ -95,8 +95,7 @@ def _track_records(policy, policy_name, phantom, bundle_name, env_cfg, seeds, hi
         actions.append((acts / np.linalg.norm(acts, axis=1, keepdims=True)).astype(np.float32))
         rewards.append(r[live].astype(np.float32))
 
-    tracker.run(seeds, hints, policy.act, observe)
-    streamlines = tracker.streamlines()
+    streamlines = tracker.run(seeds, hints, policy.act, observe)
     # a stable sort by row turns the step-major captures row-major; row i's
     # steps are then order[ends[i] - steps[i]:ends[i]]
     order = np.argsort(np.concatenate(rows), kind="stable")

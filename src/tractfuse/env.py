@@ -10,7 +10,9 @@ and the interpolated mask value at the same 7 positions (7).
 `BatchTracker` is the only episode API. It steps many episodes in lockstep
 with numpy (a single episode is a one-row batch), and `BatchTracker.run` is
 the one episode driver: every rollout (RL training, EDS harvesting,
-whole-bundle tracking, fusion tracking) goes through it. `reward` is the one
+whole-bundle tracking, fusion tracking) goes through it, and it returns one
+streamline per seed, so bound to an actor's `act` it is a half-tracker for
+`trackeval.track`. `reward` is the one
 alignment formula, and `BatchTracker.step` pays every reward through it.
 Every actor is a callable `act(states) -> actions`, and every recorded
 transition goes into an `agents.ReplayBuffer`. Every seeder draws its seeds
@@ -210,7 +212,7 @@ class BatchTracker:
         `live` indexes the rows that took the step: a row whose zero action
         ended it took none, so it is not a transition. Only the live rows'
         states are rebuilt: the position and history of any other row did
-        not change, so its state stays the same.
+        not change, so its state stays the same. Returns `streamlines()`.
         """
         states = self.reset(seeds, hints)
         while self.active.any():
@@ -223,6 +225,7 @@ class BatchTracker:
             if observe is not None:
                 observe(live, states, actions, rewards, done, next_states)
             states = next_states
+        return self.streamlines()
 
     def streamlines(self):
         """Emitted streamlines so far, one (steps+1, 3) array per episode."""

@@ -242,7 +242,9 @@ def finetune(model, records, schedule, seed=0):
 
 class FusionTracker:
     """Rolling-window driver: tracks episodes in the env with the fusion
-    policy, conditioning on a decaying return-to-go (floored at zero).
+    policy, conditioning on a decaying return-to-go (floored at zero). Each
+    row's last `context` timesteps sit in a ring of slots, so a step writes
+    one slot and shifts nothing.
 
     `FusionModel.act` gives a row the same bytes in any batch (every product
     is a per-window 3-D matmul), so the chunk size only bounds the memory of
@@ -266,36 +268,39 @@ class FusionTracker:
         a_buf = np.zeros((n, c, ACTION_DIM), dtype=np.float32)
         valid = np.zeros((n, c), dtype=np.float32)
         rtg = np.full(n, self.rtg0, dtype=np.float64)
+        k = -1  # timestep of the current `act` call
 
         def act(states):
+            nonlocal k
+            k += 1
             act_idx = np.nonzero(self.tracker.active)[0]
-            # slide the window left one slot at a time and append the current
-            # timestep; before the window fills this shifts padding out on
-            # the left
-            for buf in (valid, r_buf, s_buf, a_buf):
-                for j in range(c - 1):
-                    buf[act_idx, j] = buf[act_idx, j + 1]
-            r_buf[act_idx, -1] = rtg[act_idx]
-            s_buf[act_idx, -1] = states[act_idx]
-            a_buf[act_idx, -1] = 0.0
-            valid[act_idx, -1] = 1.0
+            # the active rows step in lockstep, so each has taken k steps:
+            # timestep k goes to ring slot k % c, and slots (k+1 ... k+c) % c
+            # read oldest to newest; before the ring fills, the unwritten
+            # slots come first as left padding
+            slot = k % c
+            r_buf[act_idx, slot] = rtg[act_idx]
+            s_buf[act_idx, slot] = states[act_idx]
+            a_buf[act_idx, slot] = 0.0
+            valid[act_idx, slot] = 1.0
+            order = (np.arange(k + 1, k + c + 1) % c)[None, :]
 
             actions = np.zeros((n, ACTION_DIM))
             for lo in range(0, len(act_idx), self.CHUNK):
-                rows = act_idx[lo:lo + self.CHUNK]
-                actions[rows] = self.model.act(r_buf[rows], s_buf[rows], a_buf[rows],
-                                               pad_mask=valid[rows])
+                rows = act_idx[lo:lo + self.CHUNK, None]
+                actions[rows[:, 0]] = self.model.act(
+                    r_buf[rows, order], s_buf[rows, order], a_buf[rows, order],
+                    pad_mask=valid[rows, order])
             return actions
 
         def observe(live, states, actions, rewards, done, next_states):
-            a_buf[live, -1] = actions[live]
+            a_buf[live, k % c] = actions[live]
             if buffer is not None:
                 buffer.add_batch(states[live], actions[live], rewards[live],
                                  next_states[live], done[live])
             rtg[live] = np.maximum(rtg[live] - rewards[live], 0.0)
 
-        self.tracker.run(seeds, hints, act, observe)
-        return self.tracker.streamlines()
+        return self.tracker.run(seeds, hints, act, observe)
 
 
 # -- MCPFT --------------------------------------------------------------------

@@ -265,7 +265,7 @@ def _expand_bundles(spec):
     return out
 
 
-def _offset_streamline(pts, tans, radius_frac, angle, rng_jitter, radius):
+def _offset_streamline(pts, tans, radius_frac, angle, radius):
     """Centerline shifted sideways inside the tube, for ground-truth variety."""
     ref = np.array([0.12, 0.78, 0.61])
     n1 = np.cross(tans, ref)
@@ -275,7 +275,7 @@ def _offset_streamline(pts, tans, radius_frac, angle, rng_jitter, radius):
     n1 /= np.linalg.norm(n1, axis=1, keepdims=True)
     n2 = np.cross(tans, n1)
     r = radius_frac * radius
-    return pts + r * (np.cos(angle) * n1 + np.sin(angle) * n2) + rng_jitter
+    return pts + r * (np.cos(angle) * n1 + np.sin(angle) * n2)
 
 
 def generate_phantom(spec):
@@ -327,7 +327,7 @@ def generate_phantom(spec):
         for _ in range(spec.n_gt_streamlines - 1):
             frac = rng.uniform(0.15, 0.7)
             ang = rng.uniform(0.0, 2 * np.pi)
-            sl = _offset_streamline(line, line_t, frac, ang, 0.0, b.radius)
+            sl = _offset_streamline(line, line_t, frac, ang, b.radius)
             streams.append(np.clip(sl, 0, np.asarray(dims) - 1).astype(np.float32))
         gt[b.name] = streams
 

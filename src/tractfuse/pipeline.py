@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import agents, eds, fusion, geometry, trackeval
-from .env import EnvConfig
+from .env import BatchTracker, EnvConfig
 from .phantom import (BundleSpec, PhantomSpec, VoxelGrid, generate_phantom,
                       load_phantom, save_phantom)
 
@@ -267,14 +267,11 @@ def stage_track(cfg, outdir, algo, bundle_name):
     rec = StageRecord(outdir, f"track-{algo}-{bundle_name}", cfg)
     phantom = load_phantom_with_gt(rec, [bundle_name])
     env_cfg = _env_config(cfg)
-    tc = trackeval.TrackConfig(seeds_per_voxel=cfg["track.seeds_per_voxel"],
-                               rtg0=cfg["track.rtg0"],
-                               post_filter_threshold_mm=cfg["track.post_filter_threshold_mm"])
-    seed = cfg["seed"] + 8000
     if algo == "fusion":
         model, _ = fusion.FusionModel.load(
             rec.read(f"fusion_mcpft_{bundle_name}.ckp", f"mcpft --bundle {bundle_name}"))
-        streams = trackeval.track_fusion(model, phantom, bundle_name, tc, env_cfg, seed=seed)
+        run = fusion.FusionTracker(model, phantom, bundle_name, env_cfg,
+                                   rtg0=cfg["track.rtg0"]).run
     else:
         if algo in agents.ALGOS:
             actor = _load_policy(cfg, rec, algo)
@@ -282,12 +279,15 @@ def stage_track(cfg, outdir, algo, bundle_name):
             policies = _load_policies(cfg, rec)
             actor = (trackeval.AvgEnsemble(policies) if algo == "avg"
                      else trackeval.MaxQEnsemble(policies))
-        streams = trackeval.track_policy(actor, phantom, bundle_name, tc, env_cfg, seed=seed)
+        run = functools.partial(BatchTracker(phantom, bundle_name, env_cfg).run,
+                                act=actor.act)
+    streams = trackeval.track(run, phantom, bundle_name, cfg["track.seeds_per_voxel"],
+                              seed=cfg["seed"] + 8000)
 
     refs = geometry.build_reference_set(phantom.bundles[bundle_name],
                                         count=cfg["eds.reference_count"],
                                         voxel_size=phantom.grid.voxel_size)
-    kept = trackeval.post_filter(streams, refs, tc.post_filter_threshold_mm,
+    kept = trackeval.post_filter(streams, refs, cfg["track.post_filter_threshold_mm"],
                                  phantom.grid.voxel_size)
     geometry.save_streamlines(kept, rec.write(f"tracks_{algo}_{bundle_name}.stl"),
                               voxel_size=phantom.grid.voxel_size)

@@ -1,9 +1,12 @@
 """Inference-time tracking and bundle evaluation.
 
-Tracking seeds every mask voxel, runs two half-episodes per seed with
-opposite initial direction hints (+/- the nearest fODF peak) and merges
-them at the seed. Candidate bundles are post-filtered by MDF distance to
-the reference set, voxelized, and scored with Dice / overlap / overreach.
+`track` is the one bidirectional tracker for every actor (the three
+policies, the `avg` and `maxq` ensembles and the fusion model): it seeds
+every mask voxel, runs two half-episodes per seed through the actor's
+`run(seeds, hints)` with opposite initial direction hints (+/- the nearest
+fODF peak) and merges them at the seed. Candidate bundles are post-filtered
+by MDF distance to the reference set, voxelized, and scored with Dice /
+overlap / overreach.
 """
 
 from __future__ import annotations
@@ -13,26 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eds import min_max_normalize
-from .env import BatchTracker, jittered_seeds, peak_hints
-from .fusion import FusionTracker
+from .env import jittered_seeds, peak_hints
 from .geometry import min_mdf_to_refs
 
 
 class TrackEvalError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class TrackConfig:
-    seeds_per_voxel: int = 7
-    rtg0: float = 300.0
-    post_filter_threshold_mm: float = 5.0
-
-    def __post_init__(self):
-        if self.seeds_per_voxel < 1:
-            raise ValueError(f"seeds_per_voxel must be >= 1, got {self.seeds_per_voxel}")
-        if self.rtg0 <= 0:
-            raise ValueError(f"rtg0 must be positive, got {self.rtg0}")
 
 
 @dataclass
@@ -92,25 +81,13 @@ def _merge_bidirectional(forward, backward):
     return out
 
 
-def track_policy(actor, phantom, bundle_name, cfg, env_cfg, seed=0):
-    """Bidirectional tracking with a single policy or a decision ensemble."""
+def track(run, phantom, bundle_name, seeds_per_voxel, seed=0):
+    """Bidirectional tracking with any actor: `run(seeds, hints)` tracks one
+    half from every seed and returns one streamline per seed."""
     rng = np.random.default_rng(seed)
-    seeds, hints = seed_positions(phantom, bundle_name, cfg.seeds_per_voxel, rng)
-    tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    tracker.run(seeds, hints, actor.act)
-    fwd = tracker.streamlines()
-    tracker.run(seeds, -hints, actor.act)
-    return _merge_bidirectional(fwd, tracker.streamlines())
-
-
-def track_fusion(model, phantom, bundle_name, cfg, env_cfg, seed=0):
-    """Bidirectional tracking with the fusion policy, rtg-conditioned."""
-    rng = np.random.default_rng(seed)
-    seeds, hints = seed_positions(phantom, bundle_name, cfg.seeds_per_voxel, rng)
-    runner = FusionTracker(model, phantom, bundle_name, env_cfg, rtg0=cfg.rtg0)
-    fwd = runner.run(seeds, hints)
-    bwd = runner.run(seeds, -hints)
-    return _merge_bidirectional(fwd, bwd)
+    seeds, hints = seed_positions(phantom, bundle_name, seeds_per_voxel, rng)
+    fwd = run(seeds, hints)
+    return _merge_bidirectional(fwd, run(seeds, -hints))
 
 
 def _has_extent(streamline):

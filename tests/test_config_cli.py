@@ -206,6 +206,15 @@ def test_negative_seed_rejected():
     assert resolve_config("", seed_override=0)["seed"] == 0
 
 
+def test_phantom_name_rejected():
+    """The name becomes part of file names and of `scores.tsv`'s
+    tab-separated rows: empty, whitespace and '/' are rejected."""
+    for name in ("", "a b", "a\tb", "a/b", "/", "a\u00a0b"):
+        with pytest.raises(ConfigError, match="key 'phantom.name'"):
+            resolve_config(f"phantom.name = {name}")
+    assert resolve_config("phantom.name = my_bundle-2.x")["phantom.name"] == "my_bundle-2.x"
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         resolve_config("seed = 1\nseed = 2")
@@ -298,7 +307,11 @@ def test_cli_malformed_config_file_exit_1(tmp_path, capsys, raw, named):
     ([], "seed = -5\n"),
     ([], "fusion.lr = inf\n"),
     ([], "env.neighbor_offset = nan\n"),
-], ids=["negative --seed", "negative seed in file", "infinite lr", "nan offset"])
+    ([], "phantom.name = a\tb\n"),
+    ([], "phantom.name = a/b\n"),
+    ([], "phantom.name =\n"),
+], ids=["negative --seed", "negative seed in file", "infinite lr", "nan offset",
+        "tab in name", "slash in name", "empty name"])
 def test_cli_bad_setting_exit_1(tmp_path, capsys, argv, cfg_text):
     p = tmp_path / "run.cfg"
     p.write_text(DESK_TUBE + cfg_text)
@@ -375,6 +388,10 @@ def bad_values(key):
     ref = DEFAULTS[key]
     if key == "phantom.dims":
         return _bad_dims()
+    if key == "phantom.name":
+        part = st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=4)
+        inner = st.tuples(part, st.sampled_from([" ", "\t", "/", " / "]), part)
+        return st.one_of(st.just(""), st.just("/"), inner.map("".join))
     if key == "phantom.kind":
         return st.text(string.ascii_letters + string.digits + " -_.", max_size=14).filter(
             lambda k: k.strip() not in KINDS)
@@ -390,7 +407,7 @@ def bad_values(key):
     return st.one_of(out)
 
 
-@pytest.mark.parametrize("key", [k for k in DEFAULTS if k != "phantom.name"])
+@pytest.mark.parametrize("key", list(DEFAULTS))
 def test_cli_rejects_every_bad_value(tmp_path_factory, key):
     """For each key, out-of-range, non-finite, unparseable and malformed
     values stop the phantom stage with exit 1 and `config error:`, never

@@ -3,6 +3,7 @@
 episode is a one-row `BatchTracker`."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -429,6 +430,19 @@ def run_logged(phantom, cfg, seeds, hints, actor):
     return tracker, log
 
 
+def test_run_returns_streamlines(tube_phantom, env_cfg):
+    """`BatchTracker.run` returns `streamlines()`: equal bytes, own copies."""
+    tracker = BatchTracker(tube_phantom, "tube", env_cfg)
+    seeds = np.argwhere(tube_phantom.mask_for("tube").values > 0)[::7].astype(np.float64)
+    hints, _ = peak_hints(tube_phantom, seeds)
+    got = tracker.run(seeds, hints, HoldCourse(zero_row=1, zero_at=2).act)
+    want = tracker.streamlines()
+    assert len(got) == len(seeds) and max(len(x) for x in got) > 3
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert [x.shape for x in got] == [x.shape for x in want]
+    assert not any(np.shares_memory(x, tracker.points) for x in got)
+
+
 def test_zero_action_ends_only_its_row(tube_phantom):
     """A zero action ends its row as `no_direction` with reward 0 and no
     move; every other row tracks as if that row were not in the batch."""
@@ -462,10 +476,10 @@ def test_zero_action_ends_only_its_row(tube_phantom):
 
 def test_zero_action_tracks_and_post_filters(tube_phantom, env_cfg):
     """A seed whose actions are all zero yields a one-point streamline in
-    `track_policy`; `post_filter` drops it at any threshold."""
-    cfg = trackeval.TrackConfig(seeds_per_voxel=1)
-    streams = trackeval.track_policy(HoldCourse(zero_row=0), tube_phantom, "tube", cfg,
-                                     env_cfg, seed=0)
+    `track`; `post_filter` drops it at any threshold."""
+    run = functools.partial(BatchTracker(tube_phantom, "tube", env_cfg).run,
+                            act=HoldCourse(zero_row=0).act)
+    streams = trackeval.track(run, tube_phantom, "tube", 1, seed=0)
     assert len(streams[0]) == 1 and all(len(s) > 2 for s in streams[1:])
     refs = build_reference_set(tube_phantom.bundles["tube"], count=5)
     for threshold in (5.0, np.inf):

@@ -1,6 +1,7 @@
 """Fusion-policy tests: causal masking, angular-loss oracles, finetune
 freezing, critic-augmented actor loss decomposition, and update counters."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -484,6 +485,67 @@ def test_fusion_tracker_transitions(tube_phantom, env_cfg):
     assert len(s) == len(a) == len(r) == len(s2) == len(d) == n
     assert d.sum() == buf.d.sum() == 2.0  # every episode terminates exactly once
     assert all(x.dtype == np.float32 for x in (s, a, r, s2, d))
+
+
+def shifting_run(runner, seeds, hints=None, buffer=None):
+    """`FusionTracker.run` as it was before the ring: every step slides each
+    active row's window left one slot and writes the newest timestep last."""
+    c, n = runner.context, len(seeds)
+    r_buf = np.zeros((n, c), dtype=np.float32)
+    s_buf = np.zeros((n, c, STATE_DIM), dtype=np.float32)
+    a_buf = np.zeros((n, c, ACTION_DIM), dtype=np.float32)
+    valid = np.zeros((n, c), dtype=np.float32)
+    rtg = np.full(n, runner.rtg0, dtype=np.float64)
+
+    def act(states):
+        act_idx = np.nonzero(runner.tracker.active)[0]
+        for buf in (valid, r_buf, s_buf, a_buf):
+            for j in range(c - 1):
+                buf[act_idx, j] = buf[act_idx, j + 1]
+        r_buf[act_idx, -1] = rtg[act_idx]
+        s_buf[act_idx, -1] = states[act_idx]
+        a_buf[act_idx, -1] = 0.0
+        valid[act_idx, -1] = 1.0
+        actions = np.zeros((n, ACTION_DIM))
+        for lo in range(0, len(act_idx), runner.CHUNK):
+            rows = act_idx[lo:lo + runner.CHUNK]
+            actions[rows] = runner.model.act(r_buf[rows], s_buf[rows], a_buf[rows],
+                                             pad_mask=valid[rows])
+        return actions
+
+    def observe(live, states, actions, rewards, done, next_states):
+        a_buf[live, -1] = actions[live]
+        if buffer is not None:
+            buffer.add_batch(states[live], actions[live], rewards[live],
+                             next_states[live], done[live])
+        rtg[live] = np.maximum(rtg[live] - rewards[live], 0.0)
+
+    runner.tracker.run(seeds, hints, act, observe)
+    return runner.tracker.streamlines()
+
+
+def test_fusion_tracker_ring_matches_shifting_windows(tube_phantom, env_cfg):
+    """The ring window gives the model the same windows as sliding them:
+    streamlines and recorded transitions are byte-equal, across chunks and
+    for episodes long enough that the ring wraps."""
+    c = 5
+    m = FusionModel(FusionConfig(context=c, width=16, n_blocks=2, dropout=0.0), seed=1)
+    mask = np.argwhere(tube_phantom.mask_for("tube").values > 0).astype(np.float64)
+    seeds = mask[np.arange(0, len(mask), 3)]
+    hints = np.tile([1.0, 0.0, 0.0], (len(seeds), 1))
+    hints[::2] *= -1
+    # untrained actions turn sharply; a wide angle limit lets episodes run
+    wide = dataclasses.replace(env_cfg, max_angle_deg=179.0)
+    runner = FusionTracker(m, tube_phantom, "tube", wide, rtg0=10.0)
+    runner.CHUNK = 16
+    bufs = [agents.ReplayBuffer(len(seeds) * env_cfg.max_steps) for _ in range(2)]
+    got = runner.run(seeds, hints, buffer=bufs[0])
+    want = shifting_run(runner, seeds, hints, buffer=bufs[1])
+    assert len(seeds) > runner.CHUNK and max(len(x) for x in got) > 2 * c + 1
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    assert bufs[0].idx == bufs[1].idx > 0
+    for name in ("s", "a", "r", "s2", "d"):
+        assert getattr(bufs[0], name).tobytes() == getattr(bufs[1], name).tobytes()
 
 
 def test_fusion_tracker_memory_follows_chunk(tube_phantom, env_cfg):

@@ -1,16 +1,20 @@
 """Evaluation metrics (worked example + monotonicity properties), voxelizer,
 post-filtering, and the decision ensembles."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractfuse import trackeval
+from tractfuse.env import BatchTracker
+from tractfuse.fusion import FusionConfig, FusionModel, FusionTracker
 from tractfuse.geometry import resample
 from tractfuse.phantom import VoxelGrid
-from tractfuse.trackeval import (AvgEnsemble, MaxQEnsemble, TrackConfig,
-                                 TrackEvalError, post_filter, score, voxelize)
+from tractfuse.trackeval import (AvgEnsemble, MaxQEnsemble, TrackEvalError,
+                                 post_filter, score, voxelize)
 
 RNG = np.random.default_rng(77)
 
@@ -194,11 +198,11 @@ def test_maxq_ensemble_picks_higher_normalized_q():
 
 # -- config / io --------------------------------------------------------------
 
-def test_track_config_validation():
-    with pytest.raises(ValueError):
-        TrackConfig(seeds_per_voxel=0)
-    with pytest.raises(ValueError):
-        TrackConfig(rtg0=0.0)
+def test_track_rejects_zero_seeds_per_voxel(tube_phantom):
+    def run(seeds, hints):
+        raise AssertionError("tracked without seeds")
+    with pytest.raises(TrackEvalError):
+        trackeval.track(run, tube_phantom, "tube", seeds_per_voxel=0)
 
 
 def test_scores_roundtrip(tmp_path):
@@ -213,10 +217,38 @@ def test_scores_roundtrip(tmp_path):
 
 
 def test_track_policy_bidirectional(tube_phantom, env_cfg, tiny_policies):
-    cfg = TrackConfig(seeds_per_voxel=1)
-    streams = trackeval.track_policy(tiny_policies["td3"], tube_phantom, "tube",
-                                     cfg, env_cfg, seed=0)
+    run = functools.partial(BatchTracker(tube_phantom, "tube", env_cfg).run,
+                            act=tiny_policies["td3"].act)
+    streams = trackeval.track(run, tube_phantom, "tube", 1, seed=0)
     n_mask = int(tube_phantom.mask_for("tube").values.sum())
     assert 0 < len(streams) <= n_mask
     for s in streams:
         assert len(s) >= 1
+
+
+@pytest.mark.parametrize("kind", ["policy", "fusion"])
+def test_track_merges_both_halves_at_the_seed(tube_phantom, env_cfg, tiny_policies, kind):
+    """One streamline per seed; the backward half, reversed, ends at the
+    seed point where the forward half starts."""
+    if kind == "fusion":
+        model = FusionModel(FusionConfig(context=6, width=16, n_blocks=1, dropout=0.0), seed=0)
+        inner = FusionTracker(model, tube_phantom, "tube", env_cfg, rtg0=10.0).run
+    else:
+        inner = functools.partial(BatchTracker(tube_phantom, "tube", env_cfg).run,
+                                  act=tiny_policies["sac"].act)
+    calls = []
+
+    def run(seeds, hints):
+        halves = inner(seeds, hints)
+        calls.append((seeds.copy(), hints.copy(), halves))
+        return halves
+
+    streams = trackeval.track(run, tube_phantom, "tube", 1, seed=3)
+    (seeds, hints, fwd), (seeds_b, hints_b, bwd) = calls
+    assert seeds_b.tobytes() == seeds.tobytes()
+    np.testing.assert_array_equal(hints_b, -hints)
+    assert len(streams) == len(fwd) == len(bwd) == len(seeds)
+    assert any(len(f) > 1 and len(b) > 1 for f, b in zip(fwd, bwd))
+    for s, f, b, seed in zip(streams, fwd, bwd, seeds):
+        assert f[0].tobytes() == b[0].tobytes() == seed.astype(np.float32).tobytes()
+        assert s.tobytes() == np.concatenate([b[::-1], f[1:]]).tobytes()
