@@ -11,10 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import phantom
+
 DEFAULTS = {
     "seed": 0,
     # phantom
-    "phantom.kind": "crossing-pair",   # straight-tube | arc | helix | crossing-pair
+    "phantom.kind": "crossing-pair",   # one of phantom.KINDS
     "phantom.dims": "40,40,12",
     "phantom.voxel_size": 1.0,
     "phantom.radius": 2.5,
@@ -247,8 +249,14 @@ def resolve_config(text="", preset=None, seed_override=None):
         # the name becomes part of artifact file names and of scores.tsv rows
         errors.append(f"key 'phantom.name': {name!r} must be non-empty, "
                       "without whitespace or '/'")
-    if values["phantom.kind"] not in ("straight-tube", "arc", "helix", "crossing-pair"):
-        errors.append(f"key 'phantom.kind': unknown kind {values['phantom.kind']!r}")
+    kind, radius = values["phantom.kind"], values["phantom.radius"]
+    if kind not in phantom.KINDS:
+        errors.append(f"key 'phantom.kind': unknown kind {kind!r}")
+    elif len(dims) == 3 and min(dims) >= 8 and math.isfinite(radius) and radius >= 1:
+        try:
+            phantom.check_fit(kind, dims, radius)
+        except phantom.PhantomError as e:
+            errors.append(f"keys 'phantom.kind', 'phantom.dims', 'phantom.radius': {e}")
     if errors:
         raise ConfigError(errors)
     return RunConfig(values=values)

@@ -99,11 +99,13 @@ def min_mdf_to_refs(streamlines, refs, voxel_size=1.0):
 def save_streamlines(streamlines, path, voxel_size=1.0):
     """Write STL1: magic, f32 voxel_size, u32 count, then per-streamline
     u32 npoints + npoints x 3 f32, little-endian, voxel coordinates."""
+    arrays = [np.asarray(s, dtype="<f4") for s in streamlines]
+    if arrays and not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise GeometryError(f"streamlines hold non-finite points; not writing {path}")
     with open(path, "wb") as f:
         f.write(STL_MAGIC)
         f.write(struct.pack("<fI", voxel_size, len(streamlines)))
-        for s in streamlines:
-            pts = np.asarray(s, dtype="<f4")
+        for pts in arrays:
             f.write(struct.pack("<I", pts.shape[0]))
             f.write(pts.tobytes())
 

@@ -4,7 +4,10 @@ The spherical-harmonic convention used throughout (and by the PHN1 file
 format): real symmetric basis, even orders l in {0,2,4,6,8}, entries ordered
 by l ascending then m from -l to l (45 coefficients). Peak-to-SH synthesis
 is a delta projection with per-order apodization 1/(1 + l(l+1)/16) so lobes
-stay smooth under trilinear interpolation.
+stay smooth under trilinear interpolation. The basis is built from the
+orthonormal associated Legendre functions (Condon-Shortley phase), computed
+by the standard recurrences: up the diagonal P_m^m from P_0^0 = 1/(2 sqrt(pi)),
+one step off it to P_{m+1}^m, then the three-term recurrence upward in l.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ PHN_MAGIC = b"PHN1"
 SH_ORDERS = (0, 2, 4, 6, 8)
 N_SH = 45
 MAX_PEAKS = 3
+KINDS = ("straight-tube", "arc", "helix", "crossing-pair")
 _MERGE_DOT = 0.985  # peaks closer than ~10 degrees collapse into one
 GT_POINT_SPACING = 0.5  # voxels between ground-truth streamline points
+_NEAREST_CHUNK = 2048  # voxels per block of the nearest-centerline-point search
 # One voxel's PHN1 peak entry: u8 count, then MAX_PEAKS x 3 f32 directions.
 _PEAK_RECORD = np.dtype([("count", "u1"), ("dirs", "<f4", (MAX_PEAKS, 3))])
 
@@ -53,13 +58,13 @@ class BundleSpec:
     """One synthetic bundle: a tube around an analytic centerline."""
 
     name: str
-    kind: str  # straight-tube | arc | helix | crossing-pair
-    radius: float = 2.0
+    kind: str  # one of KINDS
+    radius: float
     start: tuple = None
     end: tuple = None
 
     def __post_init__(self):
-        if self.kind not in ("straight-tube", "arc", "helix", "crossing-pair"):
+        if self.kind not in KINDS:
             raise PhantomError(f"unknown bundle kind '{self.kind}'")
         if self.radius < 1.0:
             raise PhantomError(f"tube radius must be >= 1 voxel, got {self.radius}")
@@ -112,22 +117,38 @@ class Phantom:
 
 # -- spherical harmonics ------------------------------------------------------
 
+def _legendre(cos_t, sin_t):
+    """Orthonormal associated Legendre functions with the Condon-Shortley
+    phase, p[l][m] for 0 <= m <= l <= 8, so that Y_l^m = p[l][m] exp(i m phi)."""
+    lmax = SH_ORDERS[-1]
+    p = [[None] * (l + 1) for l in range(lmax + 1)]
+    p[0][0] = np.full_like(cos_t, 1.0 / (2.0 * np.sqrt(np.pi)))
+    for m in range(1, lmax + 1):
+        p[m][m] = -np.sqrt((2 * m + 1) / (2 * m)) * sin_t * p[m - 1][m - 1]
+    for m in range(lmax):
+        p[m + 1][m] = np.sqrt(2 * m + 3) * cos_t * p[m][m]
+        for l in range(m + 2, lmax + 1):
+            a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            p[l][m] = a * (cos_t * p[l - 1][m] - b * p[l - 2][m])
+    return p
+
+
 def sh_basis(dirs):
     """Real symmetric SH basis (orders 0..8 even) at unit directions.
 
     dirs: (..., 3). Returns (..., 45), ordered by l then m from -l to l.
     """
-    from scipy.special import sph_harm_y  # slow to import; only phantom building needs it
-
     dirs = np.asarray(dirs, dtype=np.float64)
     x, y, z = dirs[..., 0], dirs[..., 1], dirs[..., 2]
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = np.arctan2(y, x)
+    p = _legendre(np.cos(theta), np.sin(theta))
     cols = []
     for l in SH_ORDERS:
         for m in range(-l, l + 1):
             am = abs(m)
-            ylm = sph_harm_y(l, am, theta, phi)
+            ylm = p[l][am] * np.exp(1j * am * phi)
             if m < 0:
                 col = np.sqrt(2.0) * (-1.0) ** am * ylm.imag
             elif m == 0:
@@ -212,20 +233,28 @@ def sample_field(values, positions):
 
 # -- centerlines --------------------------------------------------------------
 
+def _ring_radius(dims, spec):
+    """An arc's or helix's ring radius: radius + 1.5 voxels in from the x and y faces."""
+    r = min(dims[0], dims[1]) / 2 - (spec.radius + 0.5) - 1
+    if r <= 0:
+        raise PhantomError(f"the {spec.kind} of radius {spec.radius:g} has no room "
+                           "for its ring in x and y")
+    return r
+
+
 def _centerline(spec, grid):
     """Dense (points, tangents) samples of a bundle centerline, in voxels."""
     dims = np.asarray(grid.dims, dtype=np.float64)
     margin = spec.radius + 0.5
     if spec.kind == "straight-tube":
-        start = np.asarray(spec.start if spec.start is not None else [margin, dims[1] / 2, dims[2] / 2])
-        end = np.asarray(spec.end if spec.end is not None else [dims[0] - 1 - margin, dims[1] / 2, dims[2] / 2])
+        start, end = np.asarray(spec.start), np.asarray(spec.end)
         n = max(8, int(np.linalg.norm(end - start) * 4))
         t = np.linspace(0.0, 1.0, n)[:, None]
         pts = start + t * (end - start)
         tans = np.tile((end - start) / np.linalg.norm(end - start), (n, 1))
     elif spec.kind == "arc":
         center = dims / 2
-        r = min(dims[0], dims[1]) / 2 - margin - 1
+        r = _ring_radius(dims, spec)
         ang = np.linspace(0.0, np.pi, max(16, int(np.pi * r * 4)))
         pts = np.stack([center[0] + r * np.cos(ang),
                         center[1] + r * np.sin(ang),
@@ -233,36 +262,55 @@ def _centerline(spec, grid):
         tans = np.stack([-np.sin(ang), np.cos(ang), np.zeros_like(ang)], axis=1)
     elif spec.kind == "helix":
         center = dims / 2
-        r = min(dims[0], dims[1]) / 2 - margin - 1
+        r = _ring_radius(dims, spec)
         z_span = dims[2] - 2 * margin - 1
+        if z_span <= 0:
+            raise PhantomError(f"the helix of radius {spec.radius:g} has no room for its turn in z")
         ang = np.linspace(0.0, 2 * np.pi, max(32, int(8 * z_span)))  # one turn
         z = center[2] - z_span / 2 + z_span * ang / ang[-1]
         pts = np.stack([center[0] + r * np.cos(ang), center[1] + r * np.sin(ang), z], axis=1)
         dz = z_span / ang[-1]
         tans = np.stack([-r * np.sin(ang), r * np.cos(ang), np.full_like(ang, dz)], axis=1)
         tans /= np.linalg.norm(tans, axis=1, keepdims=True)
-    else:
-        raise PhantomError(f"no centerline for kind '{spec.kind}'")
     if np.any(pts < 0) or np.any(pts > dims - 1):
         raise PhantomError(f"bundle '{spec.name}' centerline leaves the grid")
     return pts, tans
 
 
+def _axis_tube(b, dims, axis, name):
+    """A straight tube along `axis` through the grid center, its ends
+    radius + 0.5 voxels in from the faces."""
+    margin = b.radius + 0.5
+    if dims[axis] - 1 - margin <= margin:
+        raise PhantomError(f"the {b.kind} of radius {b.radius:g} has no room "
+                           f"for its axis in {'xy'[axis]}")
+    start, end = dims / 2, dims / 2
+    start[axis], end[axis] = margin, dims[axis] - 1 - margin
+    return BundleSpec(name=name, kind="straight-tube", radius=b.radius,
+                      start=tuple(start), end=tuple(end))
+
+
 def _expand_bundles(spec):
-    """Resolve crossing-pair descriptors into two straight tubes."""
+    """Give a straight tube without ends its default axis (x), and resolve a
+    crossing pair into two straight tubes along x and y."""
     out = []
     dims = np.asarray(spec.grid.dims, dtype=np.float64)
     for b in spec.bundles:
-        if b.kind != "crossing-pair":
+        if b.kind == "crossing-pair":
+            out += [_axis_tube(b, dims, 0, b.name + "_a"), _axis_tube(b, dims, 1, b.name + "_b")]
+        elif b.kind == "straight-tube" and (b.start is None or b.end is None):
+            out.append(_axis_tube(b, dims, 0, b.name))
+        else:
             out.append(b)
-            continue
-        margin = b.radius + 0.5
-        c = dims / 2
-        out.append(BundleSpec(name=b.name + "_a", kind="straight-tube", radius=b.radius,
-                              start=(margin, c[1], c[2]), end=(dims[0] - 1 - margin, c[1], c[2])))
-        out.append(BundleSpec(name=b.name + "_b", kind="straight-tube", radius=b.radius,
-                              start=(c[0], margin, c[2]), end=(c[0], dims[1] - 1 - margin, c[2])))
     return out
+
+
+def check_fit(kind, dims, radius):
+    """Raise PhantomError unless a `kind` bundle of `radius` voxels fits a
+    grid of `dims`, by the centerline checks `generate_phantom` makes."""
+    grid = VoxelGrid(dims=dims)
+    for b in _expand_bundles(PhantomSpec(grid=grid, bundles=[BundleSpec(kind, kind, radius)])):
+        _centerline(b, grid)
 
 
 def _offset_streamline(pts, tans, radius_frac, angle, radius):
@@ -278,10 +326,21 @@ def _offset_streamline(pts, tans, radius_frac, angle, radius):
     return pts + r * (np.cos(angle) * n1 + np.sin(angle) * n2)
 
 
+def _nearest_points(pts, centers):
+    """Index of each center's nearest point, by squared distance summed over
+    x, y, z in that order; the lowest index wins a tie."""
+    nearest = np.empty(len(centers), dtype=np.intp)
+    for lo in range(0, len(centers), _NEAREST_CHUNK):
+        c = centers[lo:lo + _NEAREST_CHUNK, None, :]
+        d2 = np.square(c[..., 0] - pts[:, 0])
+        d2 += np.square(c[..., 1] - pts[:, 1])
+        d2 += np.square(c[..., 2] - pts[:, 2])
+        nearest[lo:lo + _NEAREST_CHUNK] = np.argmin(d2, axis=1)
+    return nearest
+
+
 def generate_phantom(spec):
     """Build a deterministic Phantom (SH field, peaks, masks, ground truth)."""
-    from scipy.spatial import cKDTree  # slow to import; only the phantom stage needs it
-
     rng = np.random.default_rng(spec.rng_seed)
     grid = spec.grid
     dims = grid.dims
@@ -300,9 +359,8 @@ def generate_phantom(spec):
 
     for b in bundles:
         pts, tans = _centerline(b, grid)
-        tree = cKDTree(pts)
-        dist, nearest = tree.query(centers)
-        inside = dist <= b.radius
+        nearest = _nearest_points(pts, centers)
+        inside = np.linalg.norm(centers - pts[nearest], axis=1) <= b.radius
         mask = inside.reshape(dims).astype(np.uint8)
         masks.append(TractMask(bundle_name=b.name, values=mask))
 
@@ -345,6 +403,8 @@ def generate_phantom(spec):
 
 def save_phantom(phantom, path):
     """Write the PHN1 binary layout (little-endian, C voxel order)."""
+    if not (np.isfinite(phantom.sh).all() and np.isfinite(phantom.peak_dirs).all()):
+        raise PhantomError(f"phantom has non-finite SH or peak values; not writing {path}")
     with open(path, "wb") as f:
         f.write(PHN_MAGIC)
         f.write(struct.pack("<3IfI", *phantom.grid.dims, phantom.grid.voxel_size,

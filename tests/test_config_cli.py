@@ -1,8 +1,10 @@
 """Configuration parsing/validation and CLI behavior (exit codes, seed
 override, manifests, provenance verification)."""
 
+import ast
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -23,19 +25,41 @@ from tractfuse.config import (_RANGE_CHECKS, DEFAULTS, ConfigError,
                               parse_config_text, resolve_config)
 from tractfuse.eds import EdsError
 from tractfuse.env import STATE_DIM
+from tractfuse.geometry import load_streamlines
+from tractfuse.phantom import KINDS, load_phantom
 
 
 # -- start-up -----------------------------------------------------------------
 
-def test_stage_imports_leave_slow_scipy_modules_unloaded():
-    """Only phantom building needs scipy.special and scipy.spatial, so a stage
-    process that merely imports the CLI and pipeline must not load them."""
-    code = ("import sys, tractfuse.cli, tractfuse.pipeline; "
-            "print([m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules])")
+def test_package_imports_only_stdlib_and_numpy():
+    """numpy is the one runtime dependency: no module of the package imports
+    anything outside the standard library, numpy and tractfuse itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "tractfuse"}
+    package = Path(cli.__file__).resolve().parent
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside = [n for n in names if n.split(".")[0] not in allowed]
+            assert not outside, f"{path.name}:{node.lineno} imports {outside}"
+
+
+def test_phantom_stage_loads_no_scipy(tmp_path):
+    """A desk phantom stage, run in a fresh process, loads no scipy module."""
+    code = ("import sys; from tractfuse import cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, "--preset", "desk",
+                          "--out", str(tmp_path / "o"), "phantom"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "o" / "phantom.phn").exists()
 
 
 @pytest.mark.parametrize("with_mallopt", [True, False])
@@ -322,9 +346,59 @@ def test_cli_bad_setting_exit_1(tmp_path, capsys, argv, cfg_text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind,dims,radius", [
+    ("straight-tube", "8,8,8", 3),
+    ("helix", "9,9,8", 3),
+    ("crossing-pair", "8,8,8", 3),
+    ("crossing-pair", "40,8,8", 3),
+])
+def test_cli_phantom_without_room_exit_1(tmp_path, capsys, kind, dims, radius):
+    """A bundle whose centerline has no room in the grid is bad input; these
+    used to pass every check and write NaN SH, peaks and ground truth."""
+    p = tmp_path / "run.cfg"
+    p.write_text(f"phantom.kind = {kind}\nphantom.dims = {dims}\nphantom.radius = {radius}\n")
+    rc = cli.main(["--preset", "desk", "--config", str(p), "--out", str(tmp_path / "o"), "phantom"])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_phantom_fits_or_exits_1(tmp_path_factory):
+    """For any kind, dims and radius, the phantom stage either rejects the
+    config and writes nothing, or writes a finite phantom and ground truth
+    with a nonempty mask for every bundle."""
+    root = tmp_path_factory.mktemp("fit")
+    cfg, runs = root / "run.cfg", itertools.count()
+
+    # Half-voxel radii hit the exact boundaries: a tube or ring of zero length.
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS), dims=st.tuples(*[st.integers(8, 48)] * 3),
+           radius=st.one_of(st.integers(2, 16).map(lambda v: v / 2), st.floats(1.0, 8.0)))
+    def check(kind, dims, radius):
+        cfg.write_text(f"phantom.kind = {kind}\nphantom.dims = {','.join(map(str, dims))}\n"
+                       f"phantom.radius = {radius!r}\nphantom.gt_streamlines = 4\n")
+        out = root / f"o{next(runs)}"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["--config", str(cfg), "--out", str(out), "phantom"])
+        if rc == 1:
+            assert "config error:" in err.getvalue()
+            assert not out.exists()
+            return
+        assert rc == 0, err.getvalue()
+        p = load_phantom(out / "phantom.phn")
+        assert np.isfinite(p.sh).all() and np.isfinite(p.peak_dirs).all()
+        assert len(p.masks) == (2 if kind == "crossing-pair" else 1)
+        assert all(m.values.any() for m in p.masks)
+        for m in p.masks:
+            streams, _ = load_streamlines(out / f"gt_{m.bundle_name}.stl")
+            assert len(streams) == 4 and all(np.isfinite(s).all() for s in streams)
+
+    check()
+
+
 # -- every key: values the config checks must reject --------------------------
 
-KINDS = ("straight-tube", "arc", "helix", "crossing-pair")
 _NUMBER = r"-?[0-9.]+"
 
 

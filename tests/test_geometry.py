@@ -217,6 +217,16 @@ def test_stl_empty_set(tmp_path):
     assert loaded == []
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stl_refuses_non_finite_points(tmp_path, bad):
+    streams = [np.zeros((4, 3)), np.zeros((0, 3)), np.ones((3, 3))]
+    streams[2][2, 1] = bad
+    path = tmp_path / "n.stl"
+    with pytest.raises(GeometryError, match="non-finite"):
+        geo.save_streamlines(streams, path)
+    assert not path.exists()
+
+
 def test_stl_bad_magic(tmp_path):
     path = tmp_path / "bad.stl"
     path.write_bytes(b"JUNKJUNKJUNK")

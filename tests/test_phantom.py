@@ -2,6 +2,7 @@
 antipodal symmetry), trilinear interpolation oracles, and phantom invariants."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,10 @@ from tractfuse.phantom import (BundleSpec, PhantomError, PhantomSpec, VoxelGrid,
                                sh_project_peaks)
 
 RNG = np.random.default_rng(11)
+# float32 `sh_project_peaks` output for fixed float32 peak sets, made with
+# scipy 1.17.1's `sph_harm_y` basis: k = 1 holds the six axis peaks, then 700
+# random sets; k = 2 holds the crossing's x/y pair, then 700; k = 3 holds 700.
+SH_FIXTURE = Path(__file__).resolve().parent / "data" / "sh_project_peaks.npz"
 
 
 def unit(v):
@@ -104,6 +109,20 @@ def test_projection_warns_on_non_unit_peak():
 
 def test_projection_empty_is_zero():
     np.testing.assert_array_equal(sh_project_peaks(np.zeros((0, 3))), np.zeros(45))
+
+
+def test_projection_matches_fixture_bytes():
+    """The recurrence basis reproduces the stored projections bit for bit,
+    including the ~5e-17 residue an x-axis peak leaves in odd-m terms."""
+    fixture = np.load(SH_FIXTURE)
+    axes = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
+    np.testing.assert_array_equal(fixture["peaks_k1"][:6, 0], axes)
+    np.testing.assert_array_equal(fixture["peaks_k2"][0], [[1, 0, 0], [0, 1, 0]])
+    assert 0 < np.abs(fixture["sh_k1"][0]).min(initial=1, where=fixture["sh_k1"][0] != 0) < 1e-16
+    for k in (1, 2, 3):
+        peaks, want = fixture[f"peaks_k{k}"], fixture[f"sh_k{k}"]
+        assert peaks.dtype == want.dtype == np.float32 and peaks.shape[1] == k
+        assert sh_project_peaks(peaks).astype(np.float32).tobytes() == want.tobytes()
 
 
 _COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),  # axis peaks, signed zeros
@@ -289,6 +308,51 @@ def test_other_centerline_kinds(kind):
                        rng_seed=1)
     p = generate_phantom(spec)
     assert p.mask_for("b").values.sum() > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_pts=st.integers(1, 40), n_centers=st.integers(1, 60))
+def test_nearest_points_match_per_voxel_loop(data, n_pts, n_centers):
+    """The chunked search gives each center the index of the smallest squared
+    distance (summed x, y, z), the lowest index on a tie, for any chunk size.
+    Coordinates on a half-voxel lattice, with repeated points, make ties common."""
+    point = st.tuples(*[st.integers(-8, 24).map(lambda v: v / 2)] * 3)
+    pts = np.array(data.draw(st.lists(point, min_size=n_pts, max_size=n_pts)))
+    centers = np.array(data.draw(st.lists(point, min_size=n_centers, max_size=n_centers)))
+    want = []
+    for c in centers:
+        d2 = [(c[0] - p[0]) ** 2 + (c[1] - p[1]) ** 2 + (c[2] - p[2]) ** 2 for p in pts]
+        want.append(d2.index(min(d2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ph, "_NEAREST_CHUNK", data.draw(st.integers(1, n_centers + 1)))
+        assert ph._nearest_points(pts, centers).tolist() == want
+
+
+@pytest.mark.parametrize("kind, dims, radius", [
+    ("straight-tube", (8, 8, 8), 3.0),   # zero-length axis
+    ("crossing-pair", (40, 8, 8), 3.0),  # the y tube has no room
+    ("arc", (8, 8, 8), 2.5),             # zero ring radius
+    ("helix", (9, 9, 8), 3.0),           # zero ring radius and z span
+    ("helix", (16, 16, 8), 3.0),         # zero z span
+])
+def test_bundle_without_room_rejected(kind, dims, radius):
+    spec = PhantomSpec(grid=VoxelGrid(dims=dims),
+                       bundles=[BundleSpec(name="b", kind=kind, radius=radius)])
+    with pytest.raises(PhantomError, match="no room"):
+        ph.check_fit(kind, dims, radius)
+    with pytest.raises(PhantomError, match="no room"):
+        generate_phantom(spec)
+
+
+def test_save_phantom_refuses_non_finite(tmp_path, tube_phantom):
+    for field in ("sh", "peak_dirs"):
+        bad = ph.Phantom(grid=tube_phantom.grid, sh=tube_phantom.sh.copy(),
+                         peak_counts=tube_phantom.peak_counts,
+                         peak_dirs=tube_phantom.peak_dirs.copy(), masks=tube_phantom.masks)
+        getattr(bad, field).flat[7] = np.nan
+        with pytest.raises(PhantomError, match="non-finite"):
+            save_phantom(bad, tmp_path / "p.phn")
+        assert not (tmp_path / "p.phn").exists()
 
 
 def test_unknown_kind_rejected():

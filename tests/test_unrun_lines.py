@@ -25,7 +25,8 @@ def test_tube_phantom_leaves_arc_and_helix_centerlines_unrun(tmp_path):
     assert codes == [0]
     source, first = inspect.getsourcelines(phantom._centerline)
     start = next(i for i, s in enumerate(source) if 'elif spec.kind == "arc"' in s)
-    stop = next(i for i, s in enumerate(source) if s.strip() == "else:")
+    # the arc and helix branches end where the body's next `if` follows the chain
+    stop = next(i for i in range(start, len(source)) if source[i].startswith("    if "))
     path = Path(phantom.__file__)
     curved = set(range(first + start, first + stop)) & script.function_lines(path)
     tube = set(range(first + 1, first + start)) & script.function_lines(path)
