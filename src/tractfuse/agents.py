@@ -4,10 +4,17 @@ Actors are 3-hidden-layer ReLU MLPs mapping the 334-d state to a
 tanh-bounded 3-d action; critics map (state, action) to a scalar. SAC uses
 a state-independent learned log-std. Q-value queries take the minimum over
 a bundle's critics (single critic for DDPG).
+
+`RlHyper` holds the four per-policy values the config sets (lr, sigma,
+gamma, alpha); the target-net rate `TAU`, TD3's `POLICY_DELAY` and its
+`TARGET_NOISE_CLIP` are module constants. `PolicyBundle.params()` names
+every tensor of a bundle once, by its CKP1 name and in checkpoint order,
+and `save`/`load` go through it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,6 +26,10 @@ from .env import ACTION_DIM, BatchTracker, STATE_DIM, jittered_seeds, peak_hints
 
 ALGOS = ("td3", "sac", "ddpg")
 LOG_2PI = float(np.log(2.0 * np.pi))
+TAU = 0.005  # Polyak rate of the target nets
+POLICY_DELAY = 2  # TD3: critic updates per actor update
+TARGET_NOISE_CLIP = 0.5  # TD3: bound on the target-action smoothing noise
+EVAL_EPISODES = 256  # episodes of `mean_step_reward`
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,9 +42,6 @@ class RlHyper:
     sigma: float
     gamma: float
     alpha: float = 0.0
-    tau: float = 0.005
-    policy_delay: int = 2
-    smoothing_clip: float = 0.5
 
 
 # Tuned per-policy hyperparameters used throughout the pipeline.
@@ -102,28 +110,19 @@ class PolicyBundle:
             self.log_std = nn.parameter(np.full(ACTION_DIM, np.log(self.hyper.sigma)))
         else:
             self.log_std = None
-        self.target_actor = self._clone_mlp(self.actor)
-        self.target_critics = [self._clone_mlp(c) for c in self.critics]
-
-    @staticmethod
-    def _clone_mlp(mlp):
-        out = nn.Mlp(mlp.n_in, mlp.n_out, hidden=mlp.hidden, rng=np.random.default_rng(0))
-        for dst, src in zip(out.layers, mlp.layers):
-            dst.w.data[...] = src.w.data
-            dst.b.data[...] = src.b.data
-        return out
+        self.target_actor = copy.deepcopy(self.actor)
+        self.target_critics = copy.deepcopy(self.critics)
 
     def soft_update(self):
         """Polyak-average every target array in place:
-        `dst = (1 - tau)*dst + tau*src` with `tau = hyper.tau`."""
-        tau = self.hyper.tau
+        `dst = (1 - TAU)*dst + TAU*src`."""
         pairs = list(zip(self.target_actor.layers, self.actor.layers))
         for tc, c in zip(self.target_critics, self.critics):
             pairs.extend(zip(tc.layers, c.layers))
         for dst, src in pairs:
             for d, s in ((dst.w.data, src.w.data), (dst.b.data, src.b.data)):
-                np.multiply(1 - tau, d, out=d)
-                np.add(d, tau * s, out=d)
+                np.multiply(1 - TAU, d, out=d)
+                np.add(d, TAU * s, out=d)
 
     # -- action selection -----------------------------------------------------
 
@@ -165,15 +164,17 @@ class PolicyBundle:
             out.update(c.params(f"critic{i}."))
         return out
 
-    def all_tensors(self):
-        out = {k: v.data for k, v in {**self.actor_params(), **self.critic_params()}.items()}
+    def params(self):
+        """Every tensor by its CKP1 name, in checkpoint order: actor,
+        `actor.log_std` (SAC), critics, target critics, target actor."""
+        out = {**self.actor_params(), **self.critic_params()}
         for i, c in enumerate(self.target_critics):
-            out.update({k: v.data for k, v in c.params(f"target_critic{i}.").items()})
-        out.update({k: v.data for k, v in self.target_actor.params("target_actor.").items()})
+            out.update(c.params(f"target_critic{i}."))
+        out.update(self.target_actor.params("target_actor."))
         return out
 
     def save(self, path):
-        nn.save_checkpoint(path, self.all_tensors(),
+        nn.save_checkpoint(path, {k: v.data for k, v in self.params().items()},
                            meta={"algo": self.algo, "hidden": str(self.hidden)})
 
     @classmethod
@@ -182,11 +183,7 @@ class PolicyBundle:
         algo = meta["algo"]
         hidden = int(meta["hidden"])
         bundle = cls(algo, hyper=hyper, hidden=hidden, seed=0)
-        nn.assign_params(bundle.actor_params(), tensors)
-        nn.assign_params(bundle.critic_params(), tensors)
-        nn.assign_params(bundle.target_actor.params("target_actor."), tensors)
-        for i, c in enumerate(bundle.target_critics):
-            nn.assign_params(c.params(f"target_critic{i}."), tensors)
+        nn.assign_params(bundle.params(), tensors)
         return bundle
 
 
@@ -233,7 +230,8 @@ def _check_finite(value, what):
         raise TrainingDiverged(f"non-finite {what} ({value}); training aborted")
 
 
-def _update_critics(bundle, opt, batch, rng):
+def update_critics(bundle, opt, batch, rng):
+    """One TD step of every critic of `bundle` on `batch`; returns the loss."""
     s, a, r, s2, d = batch
     h = bundle.hyper
     # target actions and TD targets (no tape needed)
@@ -243,7 +241,7 @@ def _update_critics(bundle, opt, batch, rng):
     elif bundle.algo == "td3":
         a2 = np.tanh(bundle.target_actor.infer(s2))
         noise = np.clip(rng.normal(0.0, h.sigma, size=a2.shape),
-                        -h.smoothing_clip, h.smoothing_clip)
+                        -TARGET_NOISE_CLIP, TARGET_NOISE_CLIP)
         a2 = np.clip(a2 + noise, -1.0, 1.0)
         extra = 0.0
     else:  # sac
@@ -319,22 +317,15 @@ def rollout(act, tracker, seeds, hints, buffer=None):
     return total_r, total_steps
 
 
-def random_baseline(phantom, bundle_name, env_cfg, n_episodes=256, seed=0):
-    """Mean per-step reward of uniform-random actions; oracle for the
-    learning-signal check."""
+def mean_step_reward(phantom, bundle_name, env_cfg, seed, bundle=None):
+    """Mean per-step reward over `EVAL_EPISODES` episodes of the deterministic
+    `bundle`, or of uniform-random actions without one (the learning-signal
+    oracle). The seeds, then any random actions, are drawn from one rng."""
     rng = np.random.default_rng(seed)
     tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    seeds, hints = sample_seeds(phantom, bundle_name, n_episodes, rng)
-    total_r, total_steps = rollout(partial(uniform_actions, rng=rng), tracker, seeds, hints)
-    return total_r / max(total_steps, 1)
-
-
-def policy_mean_step_reward(bundle, phantom, bundle_name, env_cfg, n_episodes=256, seed=0):
-    """Mean per-step reward of the deterministic policy."""
-    rng = np.random.default_rng(seed)
-    tracker = BatchTracker(phantom, bundle_name, env_cfg)
-    seeds, hints = sample_seeds(phantom, bundle_name, n_episodes, rng)
-    total_r, total_steps = rollout(bundle.act, tracker, seeds, hints)
+    seeds, hints = sample_seeds(phantom, bundle_name, EVAL_EPISODES, rng)
+    act = partial(uniform_actions, rng=rng) if bundle is None else bundle.act
+    total_r, total_steps = rollout(act, tracker, seeds, hints)
     return total_r / max(total_steps, 1)
 
 
@@ -362,9 +353,9 @@ def train_policy(bundle, phantom, bundle_names, env_cfg, schedule, seed=0):
 
         for _ in range(schedule.grad_steps_per_batch):
             sample = buffer.sample(schedule.batch_size, rng)
-            closs = _update_critics(bundle, critic_opt, sample, rng)
+            closs = update_critics(bundle, critic_opt, sample, rng)
             update_count += 1
-            delay = bundle.hyper.policy_delay if bundle.algo == "td3" else 1
+            delay = POLICY_DELAY if bundle.algo == "td3" else 1
             if update_count % delay == 0:
                 aloss = _update_actor(bundle, actor_opt, sample, rng)
                 bundle.soft_update()

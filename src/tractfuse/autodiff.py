@@ -373,10 +373,10 @@ def minimum(a, b):
 ARCCOS_CLAMP = 1e-6
 
 
-def arccos_clamped(x, eps=ARCCOS_CLAMP):
-    """arccos with the input clamped to [-1+eps, 1-eps] before differentiation."""
+def arccos_clamped(x):
+    """arccos with the input clamped ARCCOS_CLAMP inside [-1, 1] before differentiation."""
     x = Tensor.as_tensor(x)
-    lo, hi = -1.0 + eps, 1.0 - eps
+    lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
     xc = np.clip(x.data, lo, hi)
     inside = (x.data > lo) & (x.data < hi)
     y = np.arccos(xc)

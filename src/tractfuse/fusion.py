@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import agents, nn
 from .autodiff import Tensor, arccos_clamped, concat, frozen, minimum, no_grad, sqrt, tanh
 from .env import ACTION_DIM, BatchTracker, STATE_DIM
 
@@ -331,8 +331,6 @@ def mcpft_actor_loss(model, policies, rtg, s, a, valid, training=False, rng=None
 def mcpft(model, policies, records, phantom, bundle_name, env_cfg, schedule, seed=0):
     """Multi-critic fine-tuning: many delayed actor updates per iteration,
     then exactly one TD step per critic on freshly re-rolled transitions."""
-    from . import agents
-
     if not records:
         raise FusionError("mcpft: empty dataset")
     rng = np.random.default_rng(seed)
@@ -370,8 +368,8 @@ def mcpft(model, policies, records, phantom, bundle_name, env_cfg, schedule, see
             for name, bundle in policies.items():
                 n_critic = 0
                 for _ in range(schedule.critic_updates_per_iter):
-                    agents._update_critics(bundle, critic_opts[name],
-                                           buffer.sample(schedule.batch_size, rng), rng)
+                    agents.update_critics(bundle, critic_opts[name],
+                                          buffer.sample(schedule.batch_size, rng), rng)
                     n_critic += 1
                 log["critic_updates"][name].append(n_critic)
         else:

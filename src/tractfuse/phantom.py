@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,8 +60,6 @@ class BundleSpec:
     name: str
     kind: str  # one of KINDS
     radius: float
-    start: tuple = None
-    end: tuple = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -242,12 +240,25 @@ def _ring_radius(dims, spec):
     return r
 
 
-def _centerline(spec, grid):
-    """Dense (points, tangents) samples of a bundle centerline, in voxels."""
+def _tube_ends(spec, dims, axis):
+    """A straight tube's ends: along `axis` through the grid center,
+    radius + 0.5 voxels in from the faces."""
+    margin = spec.radius + 0.5
+    if dims[axis] - 1 - margin <= margin:
+        raise PhantomError(f"the {spec.kind} of radius {spec.radius:g} has no room "
+                           f"for its axis in {'xy'[axis]}")
+    start, end = dims / 2, dims / 2
+    start[axis], end[axis] = margin, dims[axis] - 1 - margin
+    return start, end
+
+
+def _centerline(spec, grid, axis):
+    """Dense (points, tangents) samples of a bundle centerline, in voxels; a
+    straight tube or one tube of a crossing pair runs along `axis`."""
     dims = np.asarray(grid.dims, dtype=np.float64)
     margin = spec.radius + 0.5
-    if spec.kind == "straight-tube":
-        start, end = np.asarray(spec.start), np.asarray(spec.end)
+    if spec.kind in ("straight-tube", "crossing-pair"):
+        start, end = _tube_ends(spec, dims, axis)
         n = max(8, int(np.linalg.norm(end - start) * 4))
         t = np.linspace(0.0, 1.0, n)[:, None]
         pts = start + t * (end - start)
@@ -277,40 +288,23 @@ def _centerline(spec, grid):
     return pts, tans
 
 
-def _axis_tube(b, dims, axis, name):
-    """A straight tube along `axis` through the grid center, its ends
-    radius + 0.5 voxels in from the faces."""
-    margin = b.radius + 0.5
-    if dims[axis] - 1 - margin <= margin:
-        raise PhantomError(f"the {b.kind} of radius {b.radius:g} has no room "
-                           f"for its axis in {'xy'[axis]}")
-    start, end = dims / 2, dims / 2
-    start[axis], end[axis] = margin, dims[axis] - 1 - margin
-    return BundleSpec(name=name, kind="straight-tube", radius=b.radius,
-                      start=tuple(start), end=tuple(end))
-
-
 def _expand_bundles(spec):
-    """Give a straight tube without ends its default axis (x), and resolve a
-    crossing pair into two straight tubes along x and y."""
-    out = []
-    dims = np.asarray(spec.grid.dims, dtype=np.float64)
+    """(bundle, axis) pairs: a crossing pair becomes two tubes, `<name>_a`
+    along x and `<name>_b` along y; every other bundle keeps axis x."""
     for b in spec.bundles:
         if b.kind == "crossing-pair":
-            out += [_axis_tube(b, dims, 0, b.name + "_a"), _axis_tube(b, dims, 1, b.name + "_b")]
-        elif b.kind == "straight-tube" and (b.start is None or b.end is None):
-            out.append(_axis_tube(b, dims, 0, b.name))
+            yield replace(b, name=b.name + "_a"), 0
+            yield replace(b, name=b.name + "_b"), 1
         else:
-            out.append(b)
-    return out
+            yield b, 0
 
 
 def check_fit(kind, dims, radius):
     """Raise PhantomError unless a `kind` bundle of `radius` voxels fits a
     grid of `dims`, by the centerline checks `generate_phantom` makes."""
-    grid = VoxelGrid(dims=dims)
-    for b in _expand_bundles(PhantomSpec(grid=grid, bundles=[BundleSpec(kind, kind, radius)])):
-        _centerline(b, grid)
+    spec = PhantomSpec(grid=VoxelGrid(dims=dims), bundles=[BundleSpec(kind, kind, radius)])
+    for b, axis in _expand_bundles(spec):
+        _centerline(b, spec.grid, axis)
 
 
 def _offset_streamline(pts, tans, radius_frac, angle, radius):
@@ -344,7 +338,6 @@ def generate_phantom(spec):
     rng = np.random.default_rng(spec.rng_seed)
     grid = spec.grid
     dims = grid.dims
-    bundles = _expand_bundles(spec)
 
     xs, ys, zs = np.meshgrid(*(np.arange(d) for d in dims), indexing="ij")
     centers = np.stack([xs, ys, zs], axis=-1).reshape(-1, 3).astype(np.float64)
@@ -357,8 +350,8 @@ def generate_phantom(spec):
     flat_counts = peak_counts.reshape(-1)
     flat_dirs = peak_dirs.reshape(-1, MAX_PEAKS, 3)
 
-    for b in bundles:
-        pts, tans = _centerline(b, grid)
+    for b, axis in _expand_bundles(spec):
+        pts, tans = _centerline(b, grid, axis)
         nearest = _nearest_points(pts, centers)
         inside = np.linalg.norm(centers - pts[nearest], axis=1) <= b.radius
         mask = inside.reshape(dims).astype(np.uint8)

@@ -183,10 +183,10 @@ def stage_train_rl(cfg, outdir, algo):
     extras = {"algo": algo, "reward_per_step": {}, "random_baseline_per_step": {},
               "grad_steps_per_batch": schedule.grad_steps_per_batch}
     for b in bundle_names:
-        extras["random_baseline_per_step"][b] = agents.random_baseline(
+        extras["random_baseline_per_step"][b] = agents.mean_step_reward(
             phantom, b, env_cfg, seed=cfg["seed"] + 3000)
-        extras["reward_per_step"][b] = agents.policy_mean_step_reward(
-            bundle, phantom, b, env_cfg, seed=cfg["seed"] + 3000)
+        extras["reward_per_step"][b] = agents.mean_step_reward(
+            phantom, b, env_cfg, seed=cfg["seed"] + 3000, bundle=bundle)
     return rec.finish(extras)
 
 

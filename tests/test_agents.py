@@ -80,9 +80,9 @@ def test_q_value_zero_weight_critic_is_zero():
     np.testing.assert_array_equal(p.q_value(states(3), np.zeros((3, 3))), 0.0)
 
 
-def test_soft_update_exact():
-    p = PolicyBundle("td3", hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9, tau=0.25),
-                     hidden=8, seed=2)
+def test_soft_update_exact(monkeypatch):
+    monkeypatch.setattr(agents, "TAU", 0.25)
+    p = PolicyBundle("td3", hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9), hidden=8, seed=2)
     src = p.actor.layers[0].w.data.copy()
     dst = p.target_actor.layers[0].w.data.copy()
     p.soft_update()
@@ -90,9 +90,9 @@ def test_soft_update_exact():
                                0.75 * dst + 0.25 * src, rtol=1e-6)
 
 
-def test_soft_update_tau_one_copies():
-    p = PolicyBundle("sac", hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9, tau=1.0),
-                     hidden=8, seed=3)
+def test_soft_update_tau_one_copies(monkeypatch):
+    monkeypatch.setattr(agents, "TAU", 1.0)
+    p = PolicyBundle("sac", hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9), hidden=8, seed=3)
     p.soft_update()
     for tc, c in zip(p.target_critics, p.critics):
         for lt, lc in zip(tc.layers, c.layers):
@@ -100,11 +100,11 @@ def test_soft_update_tau_one_copies():
 
 
 @pytest.mark.parametrize("algo", agents.ALGOS)
-def test_soft_update_in_place_bit_equal(algo):
+def test_soft_update_in_place_bit_equal(algo, monkeypatch):
     """Every target array is lerped in place, to the bits of
     `(1 - tau)*dst + tau*src`."""
-    p = PolicyBundle(algo, hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9, tau=0.3),
-                     hidden=8, seed=5)
+    monkeypatch.setattr(agents, "TAU", 0.3)
+    p = PolicyBundle(algo, hyper=RlHyper(lr=1e-3, sigma=0.1, gamma=0.9), hidden=8, seed=5)
     rng = np.random.default_rng(6)
     pairs = [(p.target_actor.params(), p.actor.params())]
     pairs += [(tc.params(), c.params()) for tc, c in zip(p.target_critics, p.critics)]
@@ -308,7 +308,7 @@ def test_gamma_zero_target_is_reward():
     p = PolicyBundle("ddpg", hyper=RlHyper(lr=0.0, sigma=0.1, gamma=0.0), hidden=8)
     batch = small_batch(done=0.0)
     opt = nn.AdamW(p.critic_params(), lr=0.0)
-    loss = agents._update_critics(p, opt, batch, np.random.default_rng(0))
+    loss = agents.update_critics(p, opt, batch, np.random.default_rng(0))
     s, a, r, _, _ = batch
     q = p.critics[0].infer(np.concatenate([s, a], axis=1))[:, 0]
     assert loss == pytest.approx(float(np.mean((q - r) ** 2)), rel=1e-5)
@@ -318,7 +318,7 @@ def test_done_transition_target_is_reward_any_gamma():
     p = PolicyBundle("ddpg", hyper=RlHyper(lr=0.0, sigma=0.1, gamma=0.9), hidden=8)
     batch = small_batch(done=1.0)
     opt = nn.AdamW(p.critic_params(), lr=0.0)
-    loss = agents._update_critics(p, opt, batch, np.random.default_rng(0))
+    loss = agents.update_critics(p, opt, batch, np.random.default_rng(0))
     s, a, r, _, _ = batch
     q = p.critics[0].infer(np.concatenate([s, a], axis=1))[:, 0]
     assert loss == pytest.approx(float(np.mean((q - r) ** 2)), rel=1e-5)
@@ -331,7 +331,7 @@ def test_zero_lr_is_noop():
     copt = nn.AdamW(p.critic_params(), lr=0.0)
     aopt = nn.AdamW(p.actor_params(), lr=0.0)
     batch = small_batch()
-    agents._update_critics(p, copt, batch, np.random.default_rng(0))
+    agents.update_critics(p, copt, batch, np.random.default_rng(0))
     agents._update_actor(p, aopt, batch, np.random.default_rng(0))
     after = {**p.actor_params(), **p.critic_params()}
     for k, v in before.items():
@@ -377,6 +377,80 @@ def test_actor_update_pruned_tape_same_bytes(algo, monkeypatch, backward_log):
     assert all(a < b for a, b in zip(pruned_nodes, full_nodes))
 
 
+@pytest.mark.parametrize("algo", agents.ALGOS)
+def test_params_names_every_tensor_in_checkpoint_order(algo):
+    literal = {
+        "td3": ["actor.l0.w", "actor.l0.b", "actor.l1.w", "actor.l1.b", "actor.l2.w",
+                "actor.l2.b", "actor.l3.w", "actor.l3.b",
+                "critic0.l0.w", "critic0.l0.b", "critic0.l1.w", "critic0.l1.b",
+                "critic0.l2.w", "critic0.l2.b", "critic0.l3.w", "critic0.l3.b",
+                "critic1.l0.w", "critic1.l0.b", "critic1.l1.w", "critic1.l1.b",
+                "critic1.l2.w", "critic1.l2.b", "critic1.l3.w", "critic1.l3.b",
+                "target_critic0.l0.w", "target_critic0.l0.b", "target_critic0.l1.w",
+                "target_critic0.l1.b", "target_critic0.l2.w", "target_critic0.l2.b",
+                "target_critic0.l3.w", "target_critic0.l3.b",
+                "target_critic1.l0.w", "target_critic1.l0.b", "target_critic1.l1.w",
+                "target_critic1.l1.b", "target_critic1.l2.w", "target_critic1.l2.b",
+                "target_critic1.l3.w", "target_critic1.l3.b",
+                "target_actor.l0.w", "target_actor.l0.b", "target_actor.l1.w",
+                "target_actor.l1.b", "target_actor.l2.w", "target_actor.l2.b",
+                "target_actor.l3.w", "target_actor.l3.b"],
+        "sac": ["actor.l0.w", "actor.l0.b", "actor.l1.w", "actor.l1.b", "actor.l2.w",
+                "actor.l2.b", "actor.l3.w", "actor.l3.b", "actor.log_std",
+                "critic0.l0.w", "critic0.l0.b", "critic0.l1.w", "critic0.l1.b",
+                "critic0.l2.w", "critic0.l2.b", "critic0.l3.w", "critic0.l3.b",
+                "critic1.l0.w", "critic1.l0.b", "critic1.l1.w", "critic1.l1.b",
+                "critic1.l2.w", "critic1.l2.b", "critic1.l3.w", "critic1.l3.b",
+                "target_critic0.l0.w", "target_critic0.l0.b", "target_critic0.l1.w",
+                "target_critic0.l1.b", "target_critic0.l2.w", "target_critic0.l2.b",
+                "target_critic0.l3.w", "target_critic0.l3.b",
+                "target_critic1.l0.w", "target_critic1.l0.b", "target_critic1.l1.w",
+                "target_critic1.l1.b", "target_critic1.l2.w", "target_critic1.l2.b",
+                "target_critic1.l3.w", "target_critic1.l3.b",
+                "target_actor.l0.w", "target_actor.l0.b", "target_actor.l1.w",
+                "target_actor.l1.b", "target_actor.l2.w", "target_actor.l2.b",
+                "target_actor.l3.w", "target_actor.l3.b"],
+        "ddpg": ["actor.l0.w", "actor.l0.b", "actor.l1.w", "actor.l1.b", "actor.l2.w",
+                 "actor.l2.b", "actor.l3.w", "actor.l3.b",
+                 "critic0.l0.w", "critic0.l0.b", "critic0.l1.w", "critic0.l1.b",
+                 "critic0.l2.w", "critic0.l2.b", "critic0.l3.w", "critic0.l3.b",
+                 "target_critic0.l0.w", "target_critic0.l0.b", "target_critic0.l1.w",
+                 "target_critic0.l1.b", "target_critic0.l2.w", "target_critic0.l2.b",
+                 "target_critic0.l3.w", "target_critic0.l3.b",
+                 "target_actor.l0.w", "target_actor.l0.b", "target_actor.l1.w",
+                 "target_actor.l1.b", "target_actor.l2.w", "target_actor.l2.b",
+                 "target_actor.l3.w", "target_actor.l3.b"],
+    }
+    assert list(PolicyBundle(algo, hidden=8).params()) == literal[algo]
+
+
+@pytest.mark.parametrize("algo", agents.ALGOS)
+def test_save_load_save_byte_equal(tmp_path, algo):
+    p = PolicyBundle(algo, hidden=8, seed=3)
+    rng = np.random.default_rng(4)
+    for t in p.params().values():  # targets differ from their online nets
+        t.data += rng.normal(size=t.shape).astype(np.float32)
+    first, second = tmp_path / "first.ckp", tmp_path / "second.ckp"
+    p.save(first)
+    PolicyBundle.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("algo", agents.ALGOS)
+def test_targets_start_equal_and_own_their_storage(algo):
+    p = PolicyBundle(algo, hidden=8, seed=6)
+    params = p.params()
+    pairs = [(k, "target_" + k) for k in params if "target_" + k in params]
+    assert len(pairs) == 8 * (len(p.critics) + 1)
+    for online, target in pairs:
+        assert params[target].data.tobytes() == params[online].data.tobytes()
+    before = {target: params[target].data.copy() for _, target in pairs}
+    for online, _ in pairs:
+        params[online].data[...] += 1.0
+    for _, target in pairs:
+        np.testing.assert_array_equal(params[target].data, before[target])
+
+
 def test_policy_checkpoint_roundtrip(tmp_path, tiny_policies):
     s = states(4)
     for algo, p in tiny_policies.items():
@@ -399,6 +473,6 @@ def test_training_learns_on_tube(tube_phantom, env_cfg):
                      hidden=32, seed=0)
     log = agents.train_policy(p, tube_phantom, ["tube"], env_cfg, schedule, seed=1)
     assert len(log["batch_mean_episode_reward"]) == 3
-    base = agents.random_baseline(tube_phantom, "tube", env_cfg, seed=2)
-    trained = agents.policy_mean_step_reward(p, tube_phantom, "tube", env_cfg, seed=2)
+    base = agents.mean_step_reward(tube_phantom, "tube", env_cfg, seed=2)
+    trained = agents.mean_step_reward(tube_phantom, "tube", env_cfg, seed=2, bundle=p)
     assert trained > base

@@ -336,11 +336,13 @@ def test_nearest_points_match_per_voxel_loop(data, n_pts, n_centers):
     ("helix", (16, 16, 8), 3.0),         # zero z span
 ])
 def test_bundle_without_room_rejected(kind, dims, radius):
+    """The message names the configured kind, a crossing pair's tubes too."""
     spec = PhantomSpec(grid=VoxelGrid(dims=dims),
                        bundles=[BundleSpec(name="b", kind=kind, radius=radius)])
-    with pytest.raises(PhantomError, match="no room"):
+    message = f"^the {kind} of radius {radius:g} has no room"
+    with pytest.raises(PhantomError, match=message):
         ph.check_fit(kind, dims, radius)
-    with pytest.raises(PhantomError, match="no room"):
+    with pytest.raises(PhantomError, match=message):
         generate_phantom(spec)
 
 
