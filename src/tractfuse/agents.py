@@ -93,7 +93,8 @@ class ReplayBuffer:
 
 
 class PolicyBundle:
-    """One trained policy: actor, critic(s), target copies, hyperparameters."""
+    """One trained policy: actor, critic(s), target copies, hyperparameters.
+    `seed=None` builds zero weights without random draws, for `load` to fill."""
 
     def __init__(self, algo, hyper=None, hidden=1024, seed=0):
         if algo not in ALGOS:
@@ -101,7 +102,7 @@ class PolicyBundle:
         self.algo = algo
         self.hyper = hyper if hyper is not None else DEFAULT_HYPER[algo]
         self.hidden = hidden
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.actor = nn.Mlp(STATE_DIM, ACTION_DIM, hidden=hidden, rng=rng)
         n_critics = 1 if algo == "ddpg" else 2
         self.critics = [nn.Mlp(STATE_DIM + ACTION_DIM, 1, hidden=hidden, rng=rng)
@@ -182,7 +183,7 @@ class PolicyBundle:
         tensors, meta = nn.load_checkpoint(path)
         algo = meta["algo"]
         hidden = int(meta["hidden"])
-        bundle = cls(algo, hyper=hyper, hidden=hidden, seed=0)
+        bundle = cls(algo, hyper=hyper, hidden=hidden, seed=None)
         nn.assign_params(bundle.params(), tensors)
         return bundle
 

@@ -18,14 +18,21 @@ provenance check, 2 unexpected runtime failure.
 
 Importing `tractfuse` pins numpy's bundled OpenBLAS to one thread, so every
 stage process, whatever imported numpy first, runs BLAS on one thread and
-writes the same bytes on any core count. Full-scale train-rl gives up
-speed for this: its 1024-wide grad steps ran about 1.7x faster on two
+writes the same bytes on any core count. A stage process imports `tractfuse`
+first, so numpy loads under `OPENBLAS_NUM_THREADS=1` and OpenBLAS starts no
+worker threads; the variable then gets its old value back, and processes
+that a stage starts see the caller's environment. Full-scale train-rl gives
+up speed for this: its 1024-wide grad steps ran about 1.7x faster on two
 threads (2 CPUs).
+
+Run as `python -m tractfuse.cli`, the module freezes the objects its imports
+built (`gc.freeze`) before the stage runs; `main` called in-process does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import binio, config, pipeline
@@ -150,4 +157,8 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    # The imports are done, and what they built lives until the process
+    # ends: frozen, no collection walks it again, the last one at exit
+    # included. That saves about 25 ms of every stage process.
+    gc.freeze()
     sys.exit(main())

@@ -5,7 +5,9 @@ or on a zero-norm action (`no_direction`), which takes no step.
 
 State layout: 45 SH coefficients at the current position and its 6 axis
 neighbors (315), last 4 tracking directions newest-first (12, zero-padded),
-and the interpolated mask value at the same 7 positions (7).
+and the interpolated mask value at the same 7 positions (7). `build_states`
+reads both fields in one `sample_field` call, and `peak_hints` looks up the
+peaks of all seeds in one `Phantom.peaks_at` call.
 
 `BatchTracker` is the only episode API. It steps many episodes in lockstep
 with numpy (a single episode is a one-row batch), and `BatchTracker.run` is
@@ -65,15 +67,16 @@ _OFFSET_SIGNS = np.array([
 
 
 def build_states(phantom, mask_values, positions, histories, neighbor_offset=1.0):
-    """334-d states for a batch: positions (N,3), histories (N,4,3) newest-first."""
+    """334-d states for a batch: positions (N,3), histories (N,4,3) newest-first.
+    One `sample_field` call reads the SH field and the mask at all 7 probes
+    of every row, sharing their corner indices and weights."""
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
     probe = pos[:, None, :] + neighbor_offset * _OFFSET_SIGNS[None, :, :]
-    flat = probe.reshape(-1, 3)
-    sh_feat = sample_field(phantom.sh, flat).reshape(n, 7 * 45)
-    mask_feat = sample_field(mask_values, flat).reshape(n, 7)
+    sh_feat, mask_feat = sample_field((phantom.sh, mask_values), probe.reshape(-1, 3))
     dir_feat = np.asarray(histories, dtype=np.float64).reshape(n, 3 * N_HISTORY)
-    return np.concatenate([sh_feat, dir_feat, mask_feat], axis=1).astype(np.float32)
+    return np.concatenate([sh_feat.reshape(n, 7 * 45), dir_feat, mask_feat.reshape(n, 7)],
+                          axis=1).astype(np.float32)
 
 
 def reward(actions, prev_dirs, has_prev, peak_counts, peak_dirs):
@@ -98,13 +101,10 @@ def jittered_seeds(mask, voxels, per_voxel, rng):
 def peak_hints(phantom, seeds):
     """First fODF peak at each seed (zero where there is none), and a mask of
     the seeds that have one."""
-    hints = np.zeros((len(seeds), 3))
-    has_peak = np.zeros(len(seeds), dtype=bool)
-    for i, s in enumerate(seeds):
-        pk = phantom.peaks_at(s)
-        if len(pk):
-            hints[i] = pk[0]
-            has_peak[i] = True
+    counts, dirs = phantom.peaks_at(np.reshape(seeds, (-1, 3)))
+    has_peak = counts > 0
+    hints = np.zeros((len(has_peak), 3))
+    hints[has_peak] = dirs[has_peak, 0]
     return hints, has_peak
 
 
@@ -173,7 +173,8 @@ class BatchTracker:
         a = acts / norms
 
         pos, prev, has_prev = self.pos[live], self.prev_dir[live], self.has_prev[live]
-        idx = np.clip(np.rint(pos).astype(int), 0, np.asarray(self.phantom.grid.dims) - 1)
+        idx = np.minimum(np.maximum(np.rint(pos).astype(int), 0),
+                         np.asarray(self.phantom.grid.dims) - 1)
         rewards = np.zeros(self.n)
         rewards[live] = reward(a, prev, has_prev,
                                self.phantom.peak_counts[idx[:, 0], idx[:, 1], idx[:, 2]],

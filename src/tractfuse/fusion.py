@@ -56,10 +56,13 @@ class McpftSchedule:
 
 
 class FusionModel:
+    """Return-to-go transformer policy; `seed=None` builds zero weights
+    without random draws, for `load` to fill."""
+
     def __init__(self, config, seed=0):
         self.config = config
         c = self.config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.embed_rtg = nn.Linear(1, c.width, rng, init="gpt")
         self.embed_state = nn.Linear(STATE_DIM, c.width, rng, init="gpt")
         self.embed_action = nn.Linear(ACTION_DIM, c.width, rng, init="gpt")
@@ -103,7 +106,7 @@ class FusionModel:
         tensors, meta = nn.load_checkpoint(path)
         cfg = FusionConfig(context=int(meta["context"]), width=int(meta["width"]),
                            n_blocks=int(meta["n_blocks"]), dropout=float(meta["dropout"]))
-        model = cls(cfg, seed=0)
+        model = cls(cfg, seed=None)
         nn.assign_params(model.params(), tensors)
         return model, meta.get("stage", "")
 

@@ -1,5 +1,9 @@
 """Streamline geometry: arc-length resampling, MDF distance, farthest
-sampling of reference sets, and the STL1 binary serialization."""
+sampling of reference sets, and the STL1 binary serialization.
+
+`resample` takes a whole list of streamlines and resamples it in one numpy
+pass, with the bits of `np.interp` on each streamline alone;
+`min_mdf_to_refs` and `farthest_sample` call it once."""
 
 from __future__ import annotations
 
@@ -21,21 +25,59 @@ class StreamlineFormatError(GeometryError, binio.FormatError):
     """A corrupt or truncated STL1 file."""
 
 
-def resample(streamline, k):
-    """Resample to k points equally spaced by arc length; endpoints kept."""
+def resample(streamlines, k):
+    """Resample streamlines to k points each, equally spaced by arc length,
+    endpoints kept: a sequence of N `(n>=2, 3)` streamlines gives `(N,k,3)`,
+    and one `(n,3)` array gives `(k,3)`.
+
+    One numpy pass over all of them gives the bits of `np.interp(np.linspace(0,
+    arc[-1], k), arc, coords)` per streamline: each arc length is a sequential
+    cumsum of its own segments (a zero-padded row), sample q is
+    `q * (arc[-1] / (k - 1))` with the last one `arc[-1]` itself, and the
+    segment search finds the last arc entry <= the sample, which repeated
+    points make a run of equal entries. A sample on an arc entry, or on the
+    last point, takes that point."""
+    if isinstance(streamlines, np.ndarray) and streamlines.ndim == 2:
+        return resample([streamlines], k)[0]
     if k < 2:
         raise GeometryError(f"resample needs k >= 2, got {k}")
-    pts = np.asarray(streamline, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 3:
-        raise GeometryError(f"streamline must be (n>=2, 3), got {pts.shape}")
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    if arc[-1] <= 0:
+    shapes = [np.shape(s) for s in streamlines]
+    for shape in shapes:
+        if len(shape) != 2 or shape[0] < 2 or shape[1] != 3:
+            raise GeometryError(f"streamline must be (n>=2, 3), got {shape}")
+    if not shapes:
+        return np.zeros((0, k, 3))
+    n = np.array([shape[0] for shape in shapes])
+    pts = np.concatenate(streamlines, dtype=np.float64)
+    row = np.repeat(np.arange(len(n)), n)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)[row[1:] == row[:-1]]
+    # arc[i, m]: arc length at point m of streamline i; a row past its end
+    # repeats its total
+    width = int(n.max())
+    arc = np.zeros((len(n), width))
+    arc[:, 1:][np.arange(1, width) < n[:, None]] = seg
+    np.cumsum(arc, axis=1, out=arc)
+    total = arc[:, -1]
+    if np.any(total <= 0):
         raise GeometryError("zero-length streamline cannot be resampled")
-    s = np.linspace(0.0, arc[-1], k)
-    out = np.stack([np.interp(s, arc, pts[:, i]) for i in range(3)], axis=1)
-    out[0] = pts[0]
-    out[-1] = pts[-1]
+    s = np.arange(k) * (total / (k - 1))[:, None]
+    s[:, -1] = total
+    rows = np.arange(len(n))[:, None]
+    j = np.zeros(s.shape, dtype=np.intp)
+    step = 1 << (width - 1).bit_length()
+    while step:  # largest j with arc[j] <= s, by halving steps
+        cand = np.minimum(j + step, width - 1)
+        j = np.where(arc[rows, cand] <= s, cand, j)
+        step >>= 1
+    j = np.minimum(j, n[:, None] - 1)
+    a0, a1 = arc[rows, j], arc[rows, np.minimum(j + 1, width - 1)]
+    first = (np.cumsum(n) - n)[:, None]
+    p0, p1 = pts[first + j], pts[np.minimum(first + j + 1, len(pts) - 1)]
+    on_point = (j == n[:, None] - 1) | (a0 == s)
+    slope = (p1 - p0) / np.where(on_point, 1.0, a1 - a0)[..., None]
+    out = np.where(on_point[..., None], p0, slope * (s - a0)[..., None] + p0)
+    out[:, 0] = pts[first[:, 0]]
+    out[:, -1] = pts[first[:, 0] + n - 1]
     return out
 
 
@@ -61,7 +103,7 @@ def farthest_sample(pool, n, start_index=None, voxel_size=1.0):
     """
     if n > len(pool):
         raise GeometryError(f"cannot sample {n} from pool of {len(pool)}")
-    res = np.stack([resample(s, MDF_POINTS) for s in pool])
+    res = resample(pool, MDF_POINTS)
     dists = np.zeros((len(res), len(res)))
     for i in range(len(res) - 1):
         # mdf(res[i], res[j]) for j > i; the reversed order can differ in the last bit
@@ -87,7 +129,7 @@ def min_mdf_to_refs(streamlines, refs, voxel_size=1.0):
     references; an `(N,)` array for N streamlines."""
     if len(refs) == 0:
         raise GeometryError("min_mdf_to_refs needs a nonempty reference set")
-    res = np.reshape([resample(s, MDF_POINTS) for s in streamlines], (-1, MDF_POINTS, 3))
+    res = resample(streamlines, MDF_POINTS)
     best = np.full(len(res), np.inf)
     for ref in refs:
         np.minimum(best, mdf(res, ref, voxel_size), out=best)

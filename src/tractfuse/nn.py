@@ -46,8 +46,13 @@ def parameter(arr):
 
 
 class Linear:
+    """`x @ w + b`. With `rng=None` the weights start at zero, without random
+    draws, for a checkpoint load to fill."""
+
     def __init__(self, n_in, n_out, rng, init="kaiming"):
-        if init == "kaiming":
+        if rng is None:
+            w = np.zeros((n_in, n_out), dtype=np.float32)
+        elif init == "kaiming":
             bound = np.sqrt(6.0 / n_in)
             w = rng.uniform(-bound, bound, size=(n_in, n_out))
         else:
@@ -70,12 +75,12 @@ class Linear:
 
 
 class Mlp:
-    """ReLU-activated fully connected net with 3 hidden layers."""
+    """ReLU-activated fully connected net with 3 hidden layers; `rng=None`
+    builds zero weights for a checkpoint load to fill (see `Linear`)."""
 
     N_HIDDEN_LAYERS = 3
 
     def __init__(self, n_in, n_out, hidden=1024, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         widths = [n_in] + [hidden] * self.N_HIDDEN_LAYERS + [n_out]
         self.layers = [Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
         self.n_in = n_in
@@ -218,14 +223,15 @@ class GptBlockStack:
 
     Input is a (batch, tokens, width) embedding tensor; output has the same
     shape. `pad_mask` (batch, tokens) with 1 = real token, 0 = padding,
-    removes padded positions from every attention pattern.
+    removes padded positions from every attention pattern. `rng=None` builds
+    zero weights for a checkpoint load to fill (see `Linear`).
     """
 
     def __init__(self, width=128, n_blocks=4, n_tokens=120, p_drop=0.1, rng=None):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.width = width
         self.n_tokens = n_tokens
-        self.pos = parameter(rng.normal(0.0, 0.02, size=(n_tokens, width)))
+        self.pos = parameter(np.zeros((n_tokens, width)) if rng is None
+                             else rng.normal(0.0, 0.02, size=(n_tokens, width)))
         self.blocks = [TransformerBlock(width, rng, p_drop) for _ in range(n_blocks)]
         self.ln_f = LayerNorm(width)
 

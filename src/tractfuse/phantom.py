@@ -106,11 +106,15 @@ class Phantom:
                 return m
         raise KeyError(f"no mask for bundle '{bundle_name}'")
 
-    def peaks_at(self, position):
-        """Nearest-voxel fODF peaks at a voxel-space position; (k,3) array."""
-        idx = np.clip(np.rint(position).astype(int), 0, np.asarray(self.grid.dims) - 1)
-        k = int(self.peak_counts[idx[0], idx[1], idx[2]])
-        return self.peak_dirs[idx[0], idx[1], idx[2], :k]
+    def peaks_at(self, positions):
+        """Nearest-voxel fODF peaks at voxel-space positions `(..., 3)`: the
+        peak counts `(...)` and directions `(..., MAX_PEAKS, 3)`, of which
+        the first `count` of each position are its peaks. A position outside
+        the grid takes its nearest in-grid voxel."""
+        idx = np.minimum(np.maximum(np.rint(positions).astype(int), 0),
+                         np.asarray(self.grid.dims) - 1)
+        ix, iy, iz = idx[..., 0], idx[..., 1], idx[..., 2]
+        return self.peak_counts[ix, iy, iz], self.peak_dirs[ix, iy, iz]
 
 
 # -- spherical harmonics ------------------------------------------------------
@@ -189,17 +193,17 @@ def sh_project_peaks(peaks):
 def sample_field(values, positions):
     """Trilinear interpolation at voxel-space positions, zero outside the grid.
 
-    values: (X,Y,Z) or (X,Y,Z,C); positions: (...,3). Integer coordinates are
+    values: (X,Y,Z) or (X,Y,Z,C), or a tuple of such arrays on one grid, which
+    gives a tuple of results; positions: (...,3). Integer coordinates are
     voxel centers. A corner outside the grid weighs zero, so a position half
-    outside blends the in-grid corners with zero.
+    outside blends the in-grid corners with zero. The corner indices and
+    weights are computed once for all arrays of a tuple, and each array's
+    result has the bits of sampling it alone.
     """
-    values = np.asarray(values)
+    arrays = [np.asarray(v) for v in (values if isinstance(values, tuple) else (values,))]
     pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
     squeeze = np.asarray(positions).ndim == 1
-    dims = values.shape[:3]
-    scalar = values.ndim == 3
-    flat = values.reshape(dims[0] * dims[1] * dims[2], -1)
-    nc = flat.shape[1]
+    dims = arrays[0].shape[:3]
 
     base = np.floor(pos).astype(np.int64)
     frac = pos - base
@@ -209,24 +213,35 @@ def sample_field(values, positions):
     terms, weights = [], []
     for ax in range(3):
         b, f, d = base[..., ax], frac[..., ax], dims[ax]
-        terms.append((np.clip(b, 0, d - 1) * strides[ax],
-                      np.clip(b + 1, 0, d - 1) * strides[ax]))
+        terms.append((np.minimum(np.maximum(b, 0), d - 1) * strides[ax],
+                      np.minimum(np.maximum(b + 1, 0), d - 1) * strides[ax]))
         weights.append(((1.0 - f) * ((b >= 0) & (b < d)),
                         f * ((b >= -1) & (b < d - 1))))
 
-    out = np.zeros(pos.shape[:-1] + (nc,), dtype=np.float64)
-    g = np.empty(out.shape, dtype=flat.dtype)
-    tmp = np.empty_like(out)
+    # per array: flat table, float64 sum and product buffers, and a gather
+    # buffer in the table's dtype (the product buffer for a float64 table)
+    bufs = []
+    for v in arrays:
+        flat = v.reshape(dims[0] * dims[1] * dims[2], -1)
+        out = np.zeros(pos.shape[:-1] + (flat.shape[1],))
+        tmp = np.empty_like(out)
+        bufs.append((flat, out, tmp if flat.dtype == np.float64 else np.empty(out.shape, flat.dtype),
+                     tmp))
     for corner in range(8):
         ox, oy, oz = (corner >> 2) & 1, (corner >> 1) & 1, corner & 1
         idx = terms[0][ox] + terms[1][oy] + terms[2][oz]
-        w = weights[0][ox] * weights[1][oy] * weights[2][oz]
-        np.take(flat, idx, axis=0, out=g, mode="clip")
-        np.multiply(w[..., None], g, out=tmp)
-        out += tmp
-    if scalar:
-        out = out[..., 0]
-    return out[0] if squeeze else out
+        w = (weights[0][ox] * weights[1][oy] * weights[2][oz])[..., None]
+        for flat, out, g, tmp in bufs:
+            np.take(flat, idx, axis=0, out=g, mode="clip")
+            if g is not tmp:
+                tmp[...] = g  # exact: every float32 and integer value is a float64
+            tmp *= w
+            out += tmp
+    results = []
+    for v, (_, out, _, _) in zip(arrays, bufs):
+        out = out[..., 0] if v.ndim == 3 else out
+        results.append(out[0] if squeeze else out)
+    return tuple(results) if isinstance(values, tuple) else results[0]
 
 
 # -- centerlines --------------------------------------------------------------

@@ -90,15 +90,16 @@ def track(run, phantom, bundle_name, seeds_per_voxel, seed=0):
     return _merge_bidirectional(fwd, run(seeds, -hints))
 
 
-def _has_extent(streamline):
-    """At least two points and a nonzero arc length."""
-    return len(streamline) >= 2 and bool(np.any(streamline[1:] != streamline[:-1]))
-
-
 def post_filter(streamlines, refs, threshold_mm, voxel_size=1.0):
     """Keep streamlines within threshold MDF (mm) of any reference. A
-    streamline without extent (one point, or all points equal) is dropped."""
-    streamlines = [s for s in streamlines if _has_extent(s)]
+    streamline without extent (one point, or all points equal) is dropped;
+    one pass over the points of all of them finds the steps that move."""
+    if len(streamlines):
+        row = np.repeat(np.arange(len(streamlines)), [len(s) for s in streamlines])
+        pts = np.concatenate(streamlines)
+        moves = (row[1:] == row[:-1]) & np.any(pts[1:] != pts[:-1], axis=1)
+        extent = np.bincount(row[1:][moves], minlength=len(streamlines)) > 0
+        streamlines = [s for s, ok in zip(streamlines, extent) if ok]
     if not np.isfinite(threshold_mm):
         return streamlines
     keep = min_mdf_to_refs(streamlines, refs, voxel_size) <= threshold_mm
@@ -110,23 +111,26 @@ VOXELIZE_SUB_STEP = 0.25  # voxels between samples along a segment
 
 def voxelize(streamlines, grid):
     """Binary mask of voxels touched by any streamline segment (segments
-    sub-sampled every `VOXELIZE_SUB_STEP` voxel)."""
+    sub-sampled every `VOXELIZE_SUB_STEP` voxel). All segments of all
+    streamlines are sampled in one pass: a segment longer than the sub-step
+    is cut into `n = ceil(length / VOXELIZE_SUB_STEP)` pieces, and its inner
+    sample k is `start + (k * (1.0 / n)) * segment`, the bits of
+    `np.linspace(0, 1, n + 1)[k]`."""
     mask = np.zeros(grid.dims, dtype=np.uint8)
-    dims = np.asarray(grid.dims)
-    for s in streamlines:
-        pts = np.asarray(s, dtype=np.float64)
-        samples = [pts]
-        seg = pts[1:] - pts[:-1]
-        seg_len = np.linalg.norm(seg, axis=1)
-        for i in np.nonzero(seg_len > VOXELIZE_SUB_STEP)[0]:
-            n = int(np.ceil(seg_len[i] / VOXELIZE_SUB_STEP))
-            t = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
-            samples.append(pts[i] + t * seg[i])
-        all_pts = np.concatenate(samples, axis=0)
-        idx = np.rint(all_pts).astype(int)
-        ok = np.all((idx >= 0) & (idx < dims), axis=1)
-        idx = idx[ok]
-        mask[idx[:, 0], idx[:, 1], idx[:, 2]] = 1
+    if len(streamlines) == 0:
+        return mask
+    pts = np.concatenate(streamlines, dtype=np.float64)
+    row = np.repeat(np.arange(len(streamlines)), [len(s) for s in streamlines])
+    seg = pts[1:] - pts[:-1]
+    seg_len = np.linalg.norm(seg, axis=1)
+    cut = np.nonzero((row[1:] == row[:-1]) & (seg_len > VOXELIZE_SUB_STEP))[0]
+    pieces = np.ceil(seg_len[cut] / VOXELIZE_SUB_STEP).astype(int)
+    of = np.repeat(np.arange(len(cut)), pieces - 1)    # segment of each inner sample
+    k = np.arange(len(of)) - (np.cumsum(pieces - 1) - (pieces - 1))[of] + 1
+    t = k * (1.0 / pieces[of])
+    idx = np.rint(np.concatenate([pts, pts[cut[of]] + t[:, None] * seg[cut[of]]])).astype(int)
+    idx = idx[np.all((idx >= 0) & (idx < np.asarray(grid.dims)), axis=1)]
+    mask[idx[:, 0], idx[:, 1], idx[:, 2]] = 1
     return mask
 
 

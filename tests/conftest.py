@@ -73,6 +73,14 @@ def backward_log(monkeypatch):
     return log
 
 
+def ref_peaks_at(phantom, position):
+    """The per-position `Phantom.peaks_at` that the batched one replaced,
+    kept as an oracle: the `(k, 3)` peaks of the nearest in-grid voxel."""
+    idx = np.clip(np.rint(position).astype(int), 0, np.asarray(phantom.grid.dims) - 1)
+    k = int(phantom.peak_counts[idx[0], idx[1], idx[2]])
+    return phantom.peak_dirs[idx[0], idx[1], idx[2], :k]
+
+
 def keep_all_on_tape(monkeypatch, module):
     """Make `module.frozen` a no-op: every parameter stays on the tape and
     collects gradients; only the optimizer's own parameters step."""

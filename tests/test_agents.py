@@ -437,6 +437,22 @@ def test_save_load_save_byte_equal(tmp_path, algo):
 
 
 @pytest.mark.parametrize("algo", agents.ALGOS)
+def test_load_builds_nets_without_random_draws(tmp_path, monkeypatch, algo):
+    """`load` fills zero-weight nets from the checkpoint: no generator is made."""
+    p = PolicyBundle(algo, hidden=8, seed=3)
+    path = tmp_path / "p.ckp"
+    p.save(path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load drew a random init")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded = PolicyBundle.load(path)
+    assert {k: t.data.tobytes() for k, t in loaded.params().items()} == \
+        {k: t.data.tobytes() for k, t in p.params().items()}
+
+
+@pytest.mark.parametrize("algo", agents.ALGOS)
 def test_targets_start_equal_and_own_their_storage(algo):
     p = PolicyBundle(algo, hidden=8, seed=6)
     params = p.params()

@@ -115,6 +115,60 @@ def test_blas_bytes_do_not_depend_on_thread_count():
     assert digest_1 == digest_2
 
 
+# tractfuse imported before numpy, as `python -m tractfuse.cli` does. The
+# task count shows whether OpenBLAS started worker threads when it loaded.
+_PIN_PROBE = """
+import ctypes, os, pathlib
+import tractfuse
+import numpy as np
+libs = sorted((pathlib.Path(np.__file__).resolve().parents[1] / "numpy.libs")
+              .glob("libscipy_openblas64_*.so"))
+get = (getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None)
+       if libs else None)
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(get() if get is not None else None, os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+
+def test_import_starts_openblas_on_one_thread_and_restores_the_variable():
+    """A process that imports tractfuse first loads OpenBLAS with one thread,
+    whatever OPENBLAS_NUM_THREADS says, and then finds the variable as it
+    was, so processes it starts see the caller's setting."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    threads, variable, tasks = subprocess.run(
+        [sys.executable, "-c", _PIN_PROBE], env=env, capture_output=True, text=True,
+        check=True).stdout.split()
+    if threads == "None":
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    assert threads == "1" and variable == "4"
+    assert tasks in ("1", "None")  # no OpenBLAS worker thread was started
+    del env["OPENBLAS_NUM_THREADS"]
+    assert subprocess.run([sys.executable, "-c", _PIN_PROBE], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()[:2] == ["1", "None"]
+
+
+_FREEZE_PROBE = """
+import gc, runpy, sys
+import tractfuse.cli
+print(gc.get_freeze_count())
+sys.argv = ["tractfuse", "--help"]
+try:
+    runpy.run_module("tractfuse.cli", run_name="__main__")
+except SystemExit:
+    print(gc.get_freeze_count())
+"""
+
+
+def test_cli_process_freezes_import_time_objects():
+    """Importing `tractfuse.cli` leaves the collector alone; running it as
+    `__main__` freezes what the imports built before the stage runs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FREEZE_PROBE], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == "0" and int(out[-1]) > 0
+
+
 @pytest.mark.parametrize("found", ["openblas", "openblas without setter", "no openblas"])
 def test_import_pins_openblas_or_skips_it(tmp_path, monkeypatch, found):
     """The pin calls OpenBLAS's `set_num_threads(1)` when numpy's wheel ships

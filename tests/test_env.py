@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_peaks_at
 from tractfuse import agents, eds, trackeval
 from tractfuse.env import (EnvConfig, EnvError, REASON_LEFT_MASK,
                            REASON_MAX_STEPS, REASON_NO_DIRECTION, REASON_NONE,
@@ -114,6 +115,41 @@ def test_state_mask_features_deep_inside(tube_phantom, env_cfg):
     np.testing.assert_allclose(s[327:334], 1.0)
 
 
+def _ref_build_states(phantom, mask_values, positions, histories, neighbor_offset):
+    """The two-call `build_states` that the shared-index one replaced, kept
+    to pin its bits: the SH field and the mask each sampled alone."""
+    pos = np.asarray(positions, dtype=np.float64)
+    n = pos.shape[0]
+    offsets = np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                        [0, 0, 1], [0, 0, -1]], dtype=np.float64)
+    flat = (pos[:, None, :] + neighbor_offset * offsets[None, :, :]).reshape(-1, 3)
+    sh_feat = sample_field(phantom.sh, flat).reshape(n, 7 * 45)
+    mask_feat = sample_field(mask_values, flat).reshape(n, 7)
+    dir_feat = np.asarray(histories, dtype=np.float64).reshape(n, 12)
+    return np.concatenate([sh_feat, dir_feat, mask_feat], axis=1).astype(np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_build_states_matches_two_call_copy(crossing_phantom, seed, data):
+    """Rows on voxel centers, on the grid's faces, half or wholly outside it,
+    and inside, at neighbor offsets below, at and above one voxel."""
+    dims = crossing_phantom.grid.dims
+    coord = [st.one_of(st.integers(-2, d + 1).map(float),
+                       st.sampled_from([-0.5, -1e-9, d - 1.0, d - 1 + 1e-9, d - 0.5]),
+                       st.floats(-3.0, d + 2.0, allow_nan=False)) for d in dims]
+    rows = data.draw(st.lists(st.tuples(*coord), min_size=1, max_size=12), label="positions")
+    offset = data.draw(st.sampled_from([0.5, 1.0, 1.5]), label="offset")
+    rng = np.random.default_rng(seed)
+    pos = np.array(rows)
+    histories = rng.normal(size=(len(rows), 4, 3))
+    mask = crossing_phantom.mask_for("pair_b").values
+    got = build_states(crossing_phantom, mask, pos, histories, offset)
+    want = _ref_build_states(crossing_phantom, mask, pos, histories, offset)
+    assert got.dtype == want.dtype == np.float32 and got.shape == (len(rows), STATE_DIM)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_reset_deterministic(tube_phantom, env_cfg):
     tracker = BatchTracker(tube_phantom, "tube", env_cfg)
     seed = center_seed(tube_phantom, "tube")
@@ -205,12 +241,12 @@ def test_step_reward_matches_oracle(tube_phantom, env_cfg):
     seed = center_seed(tube_phantom, "tube")
     tracker.reset(seed)
     a = unit([0.9, 0.1, 0.0])
-    peaks = tube_phantom.peaks_at(seed)
+    peaks = ref_peaks_at(tube_phantom, seed)
     rewards, _ = tracker.step([a])
     assert rewards[0] == pytest.approx(reward_oracle(a, None, list(peaks)), abs=1e-6)
     # second step: previous direction factor engages
     b = unit([0.95, -0.05, 0.0])
-    peaks2 = tube_phantom.peaks_at(tracker.pos[0])
+    peaks2 = ref_peaks_at(tube_phantom, tracker.pos[0])
     rewards, _ = tracker.step([b])
     assert rewards[0] == pytest.approx(reward_oracle(b, a, list(peaks2)), abs=1e-6)
 
@@ -232,7 +268,7 @@ def test_step_rewards_per_row_match_oracle(crossing_phantom):
         rewards, _ = tracker.step(actions)
         for i in live:
             want = reward_oracle(actions[i], prev[i] if has_prev[i] else None,
-                                 list(crossing_phantom.peaks_at(pos[i])))
+                                 list(ref_peaks_at(crossing_phantom, pos[i])))
             assert rewards[i] == pytest.approx(want, abs=1e-12)
             checked[bool(has_prev[i])] += 1
         assert not rewards[np.setdiff1d(np.arange(len(seeds)), live)].any()
@@ -532,7 +568,7 @@ def _ref_sample_seeds(phantom, bundle, n, rng):
         filled += len(kept)
     hints = np.zeros((n, 3))
     for i in range(n):
-        pk = phantom.peaks_at(seeds[i])
+        pk = ref_peaks_at(phantom, seeds[i])
         if len(pk):
             hints[i] = pk[0] * (1.0 if rng.random() < 0.5 else -1.0)
     return seeds, hints
@@ -543,10 +579,38 @@ def _ref_seed_positions(phantom, bundle, per_voxel, rng):
     seeds = _ref_jitter(mask, np.argwhere(mask > 0), per_voxel, rng)
     hints = np.zeros_like(seeds)
     for i, s in enumerate(seeds):
-        pk = phantom.peaks_at(s)
+        pk = ref_peaks_at(phantom, s)
         if len(pk):
             hints[i] = pk[0]
     return seeds, hints
+
+
+def _ref_peak_hints(phantom, seeds):
+    """The per-seed `peak_hints` loop that the batched one replaced."""
+    hints = np.zeros((len(seeds), 3))
+    has_peak = np.zeros(len(seeds), dtype=bool)
+    for i, s in enumerate(seeds):
+        pk = ref_peaks_at(phantom, s)
+        if len(pk):
+            hints[i] = pk[0]
+            has_peak[i] = True
+    return hints, has_peak
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_peak_hints_match_per_seed_loop(gappy_phantom, seed):
+    """Seeds in voxels with and without peaks, and outside the grid (nearest
+    in-grid voxel), give the loop's hints and flags; no seeds give none."""
+    rng = np.random.default_rng(seed)
+    dims = np.asarray(gappy_phantom.grid.dims)
+    seeds = rng.uniform(-2.0, dims + 1.0, size=(200, 3))
+    got, want = peak_hints(gappy_phantom, seeds), _ref_peak_hints(gappy_phantom, seeds)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert got[1].any() and not got[1].all()
+    hints, has_peak = peak_hints(gappy_phantom, np.zeros((0, 3)))
+    assert hints.shape == (0, 3) and has_peak.shape == (0,)
 
 
 def _ref_harvest_seeds(phantom, bundle, origin, window, per_voxel, rng):
@@ -557,7 +621,7 @@ def _ref_harvest_seeds(phantom, bundle, origin, window, per_voxel, rng):
     hints = np.zeros_like(seeds)
     signs = np.where(rng.random(len(seeds)) < 0.5, 1.0, -1.0)
     for i, s in enumerate(seeds):
-        pk = phantom.peaks_at(s)
+        pk = ref_peaks_at(phantom, s)
         if len(pk):
             hints[i] = pk[0] * signs[i]
     return seeds, hints

@@ -318,6 +318,21 @@ def test_checkpoint_roundtrip(tmp_path):
                                   m.predict_actions(rtg, s, a).data)
 
 
+
+def test_load_builds_model_without_random_draws(tmp_path, monkeypatch):
+    """`load` fills zero-weight layers from the checkpoint: no generator is made."""
+    m = tiny_model(seed=4)
+    path = tmp_path / "f.ckp"
+    m.save(path, stage="pretrained")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load drew a random init")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    loaded, _ = FusionModel.load(path)
+    assert {k: t.data.tobytes() for k, t in loaded.params().items()} == \
+        {k: t.data.tobytes() for k, t in m.params().items()}
+
 # -- MCPFT --------------------------------------------------------------------
 
 def zero_critics(policies):

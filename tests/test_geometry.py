@@ -47,6 +47,72 @@ def test_resample_preserves_endpoints():
     np.testing.assert_allclose(out[-1], s[-1], atol=1e-9)
 
 
+def _ref_resample(streamline, k):
+    """The per-streamline resample that the batched one replaced, kept to pin
+    its bits: np.interp per coordinate over the arc length."""
+    pts = np.asarray(streamline, dtype=np.float64)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.linspace(0.0, arc[-1], k)
+    out = np.stack([np.interp(s, arc, pts[:, i]) for i in range(3)], axis=1)
+    out[0] = pts[0]
+    out[-1] = pts[-1]
+    return out
+
+
+def _walk(rng, n, dtype):
+    """A random walk of n points at a random scale, with runs of repeated
+    points (zero-length segments) and at least one step that moves."""
+    steps = rng.normal(scale=rng.choice([1e-3, 0.5, 30.0]), size=(n - 1, 3))
+    steps[rng.random(n - 1) < 0.3] = 0.0
+    steps[rng.integers(n - 1)] += 1.0
+    return (np.concatenate([[np.zeros(3)], np.cumsum(steps, axis=0)])
+            + rng.uniform(-20, 20, size=3)).astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(2, 25),
+       st.sampled_from([np.float32, np.float64]))
+def test_resample_batch_matches_per_streamline_bits(seed, n_streamlines, k, dtype):
+    """One call over a list gives, row for row, the bits of the kept
+    per-streamline resample: 2-point lines, repeated points at the start, the
+    middle and the end, float32 and float64 input."""
+    rng = np.random.default_rng(seed)
+    lines = [_walk(rng, int(rng.choice([2, 3, rng.integers(2, 70)])), dtype)
+             for _ in range(n_streamlines)]
+    if lines:
+        lines[0] = np.concatenate([lines[0][:1], lines[0], lines[0][-1:]])
+    got = resample(lines, k)
+    assert got.shape == (n_streamlines, k, 3) and got.dtype == np.float64
+    for line_, row in zip(lines, got):
+        assert row.tobytes() == _ref_resample(line_, k).tobytes()
+        assert resample(line_, k).tobytes() == row.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=12)
+                .filter(lambda steps: any(n for _, n in steps)), min_size=1, max_size=6))
+def test_resample_samples_on_arc_entries_match_per_streamline_bits(walks):
+    """Axis-aligned walks with integer steps, some of length zero, have
+    integer arc lengths; with k - 1 equal to the first walk's length every
+    sample of it lands on an arc entry, a run of equal entries included."""
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    lines = [np.concatenate([np.zeros((1, 3)), np.cumsum([axes[a] * n for a, n in steps], axis=0)])
+             for steps in walks]
+    k = int(sum(n for _, n in walks[0])) + 1
+    for line_, row in zip(lines, resample(lines, k)):
+        assert row.tobytes() == _ref_resample(line_, k).tobytes()
+
+
+def test_resample_rejects_bad_streamlines():
+    with pytest.raises(GeometryError, match="k >= 2"):
+        resample([line(0.0)], 1)
+    with pytest.raises(GeometryError, match=r"\(n>=2, 3\), got \(1, 3\)"):
+        resample([line(0.0), line(0.0)[:1]], 20)
+    with pytest.raises(GeometryError, match="zero-length"):
+        resample([line(0.0), np.ones((4, 3))], 20)
+
+
 def test_resample_uniform_arclength_on_smooth_curve():
     t = np.linspace(0.0, np.pi / 2, 200)
     s = np.stack([np.cos(t) * 5, np.sin(t) * 5, t], axis=1)
@@ -161,6 +227,11 @@ def test_min_mdf_to_refs():
     np.testing.assert_allclose(got, [1.0, 1.0], atol=1e-9)
 
 
+def test_min_mdf_to_refs_of_no_streamlines():
+    got = min_mdf_to_refs([], [resample(line(0.0), 20)])
+    assert got.shape == (0,)
+
+
 def test_min_mdf_to_refs_rejects_empty_reference_set():
     with pytest.raises(GeometryError, match="nonempty"):
         min_mdf_to_refs([line(0.0)], [])
@@ -178,7 +249,7 @@ def walk_with_repeats(rng, n):
 def per_pair_min_mdf(streamline, refs, voxel_size):
     """One streamline against one reference at a time: min of the direct
     and flipped mean distances, least over the references, then in mm."""
-    a = resample(streamline, 20)
+    a = _ref_resample(streamline, 20)
     return min(min(np.linalg.norm(a - b, axis=1).mean(),
                    np.linalg.norm(a - b[::-1], axis=1).mean()) for b in refs) * voxel_size
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_peaks_at
 from tractfuse import phantom as ph
 from tractfuse.geometry import load_streamlines, save_streamlines
 from tractfuse.phantom import (BundleSpec, PhantomError, PhantomSpec, VoxelGrid,
@@ -239,17 +240,63 @@ def test_sample_field_matches_per_corner_loop(volume, seed, data):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_sample_field_tuple_gives_each_arrays_own_bits(seed, data):
+    """A tuple of arrays on one grid shares the corner indices and weights,
+    and each result has the bits of the per-corner loop over that array."""
+    dims = data.draw(st.tuples(*[st.integers(1, 5)] * 3), label="dims")
+    rng = np.random.default_rng(seed)
+    values = tuple(make(rng, dims) for make in VOLUMES.values())
+    point = st.tuples(*(_coordinate(d) for d in dims))
+    points = np.array(data.draw(st.lists(point, min_size=1, max_size=16), label="points"))
+    for pos in (points, points[0]):
+        got = sample_field(values, pos)
+        assert isinstance(got, tuple) and len(got) == len(values)
+        for g, v in zip(got, values):
+            want = _ref_sample_field(v, pos)
+            assert g.dtype == want.dtype and g.shape == want.shape
+            assert g.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_peaks_at_matches_per_position_lookup(crossing_phantom, data):
+    """A batch of positions, in the grid, on and past its faces and far
+    outside, gives each position the peaks of the kept per-position lookup;
+    a single position gives one count and its peak table."""
+    dims = crossing_phantom.grid.dims
+    point = st.tuples(*(_coordinate(d) for d in dims))
+    pos = np.array(data.draw(st.lists(point, min_size=1, max_size=16), label="points"))
+    counts, dirs = crossing_phantom.peaks_at(pos)
+    assert counts.shape == (len(pos),) and dirs.shape == (len(pos), ph.MAX_PEAKS, 3)
+    for p, k, d in zip(pos, counts, dirs):
+        assert d[:k].tobytes() == ref_peaks_at(crossing_phantom, p).tobytes()
+    k, d = crossing_phantom.peaks_at(pos[0])
+    assert k == counts[0] and d.tobytes() == dirs[0].tobytes()
+
+
+def test_peaks_at_takes_nearest_voxel_everywhere(crossing_phantom):
+    """Every voxel center, nudged by -0.4 and +0.6 on each axis (so that
+    rounding and flooring part), and a shell past the grid's faces."""
+    dims = np.asarray(crossing_phantom.grid.dims)
+    centers = np.argwhere(np.ones(dims, dtype=bool)).astype(np.float64)
+    pos = np.concatenate([centers - 0.4, centers + 0.6, centers * 1.3 - 2.0])
+    counts, dirs = crossing_phantom.peaks_at(pos)
+    want = [ref_peaks_at(crossing_phantom, p) for p in pos]
+    assert [len(w) for w in want] == counts.tolist()
+    assert all(d[:len(w)].tobytes() == w.tobytes() for d, w in zip(dirs, want))
+
+
 # -- phantom generation -------------------------------------------------------
 
 def test_straight_tube_structure(tube_phantom):
     mask = tube_phantom.mask_for("tube").values
     assert mask.sum() > 0
     inside = np.argwhere(mask > 0)
-    for v in inside[:: max(1, len(inside) // 20)]:
-        pk = tube_phantom.peaks_at(v)
-        assert len(pk) == 1
-        np.testing.assert_allclose(np.abs(pk[0] @ np.array([1.0, 0, 0])), 1.0,
-                                   atol=1e-6)
+    counts, dirs = tube_phantom.peaks_at(inside[:: max(1, len(inside) // 20)])
+    assert (counts == 1).all()
+    np.testing.assert_allclose(np.abs(dirs[:, 0] @ np.array([1.0, 0, 0])), 1.0, atol=1e-6)
 
 
 def test_ground_truth_streamline_count(tube_phantom):
@@ -266,15 +313,15 @@ def test_crossing_pair_two_bundles(crossing_phantom):
     overlap = np.argwhere((ma > 0) & (mb > 0))
     assert len(overlap) > 0
     # crossing voxels carry two distinct peaks
-    counts = [len(crossing_phantom.peaks_at(v)) for v in overlap]
-    assert max(counts) == 2
+    counts, _ = crossing_phantom.peaks_at(overlap)
+    assert counts.max() == 2
 
 
 def test_sh_matches_projection_of_stored_peaks(tube_phantom, crossing_phantom):
     inside = np.argwhere(tube_phantom.mask_for("tube").values > 0)
     v = inside[len(inside) // 2]
-    pk = tube_phantom.peaks_at(v)
-    expect = sh_project_peaks(pk).astype(np.float32)
+    k, dirs = tube_phantom.peaks_at(v)
+    expect = sh_project_peaks(dirs[:k]).astype(np.float32)
     np.testing.assert_array_equal(tube_phantom.sh[v[0], v[1], v[2]], expect)
     # Every occupied voxel of every centerline kind, bit for bit, against one
     # unbatched call per voxel; empty voxels hold zeros.
@@ -285,7 +332,8 @@ def test_sh_matches_projection_of_stored_peaks(tube_phantom, crossing_phantom):
     assert {1, 2} <= set(np.unique(crossing_phantom.peak_counts))
     for p in (tube_phantom, crossing_phantom, arc, helix):
         occupied = np.argwhere(p.peak_counts > 0)
-        want = np.stack([sh_project_peaks(p.peaks_at(v)).astype(np.float32) for v in occupied])
+        want = np.stack([sh_project_peaks(ref_peaks_at(p, v)).astype(np.float32)
+                         for v in occupied])
         assert p.sh[tuple(occupied.T)].tobytes() == want.tobytes()
         assert not p.sh[p.peak_counts == 0].any()
 

@@ -115,7 +115,63 @@ def test_voxelize_empty():
     assert voxelize([], grid).sum() == 0
 
 
+def _ref_voxelize(streamlines, grid):
+    """The per-streamline voxelizer that the batched one replaced, kept to
+    pin its bits."""
+    mask = np.zeros(grid.dims, dtype=np.uint8)
+    dims = np.asarray(grid.dims)
+    for s in streamlines:
+        pts = np.asarray(s, dtype=np.float64)
+        samples = [pts]
+        seg = pts[1:] - pts[:-1]
+        seg_len = np.linalg.norm(seg, axis=1)
+        for i in np.nonzero(seg_len > trackeval.VOXELIZE_SUB_STEP)[0]:
+            n = int(np.ceil(seg_len[i] / trackeval.VOXELIZE_SUB_STEP))
+            t = np.linspace(0.0, 1.0, n + 1)[1:-1, None]
+            samples.append(pts[i] + t * seg[i])
+        idx = np.rint(np.concatenate(samples, axis=0)).astype(int)
+        idx = idx[np.all((idx >= 0) & (idx < dims), axis=1)]
+        mask[idx[:, 0], idx[:, 1], idx[:, 2]] = 1
+    return mask
+
+
+def _streamline(rng, dims):
+    """Empty, one point, or a walk whose steps are zero (repeated points),
+    shorter than the sub-step, or long (many sub-samples), partly outside
+    the grid."""
+    n = int(rng.choice([0, 1, 2, rng.integers(3, 40)]))
+    scale = rng.choice([0.0, 0.1, 1.0, 6.0], size=(max(n - 1, 0), 1))
+    steps = rng.normal(size=(max(n - 1, 0), 3)) * scale
+    start = rng.uniform(-3.0, np.asarray(dims) + 3.0)
+    pts = np.concatenate([start[None], start + np.cumsum(steps, axis=0)])[:n]
+    return pts.astype(rng.choice([np.float32, np.float64]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 15))
+def test_voxelize_matches_per_streamline_loop(seed, n_streamlines):
+    rng = np.random.default_rng(seed)
+    grid = VoxelGrid(dims=tuple(int(d) for d in rng.integers(8, 14, size=3)))
+    lines = [_streamline(rng, grid.dims) for _ in range(n_streamlines)]
+    got = voxelize(lines, grid)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == _ref_voxelize(lines, grid).tobytes()
+
+
 # -- post-filter --------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 15))
+def test_post_filter_drops_exactly_the_streamlines_without_extent(seed, n_streamlines):
+    """At an infinite threshold only the extent check filters: the kept list
+    is, object for object, the streamlines with two or more points of which
+    some differ."""
+    rng = np.random.default_rng(seed)
+    lines = [_streamline(rng, (10, 10, 10)) for _ in range(n_streamlines)]
+    kept = post_filter(lines, [], np.inf)
+    want = [s for s in lines if len(s) >= 2 and np.any(s[1:] != s[:-1])]
+    assert [id(s) for s in kept] == [id(s) for s in want]
+
 
 def line(offset, n=20):
     pts = np.zeros((n, 3))
