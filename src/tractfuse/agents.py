@@ -32,10 +32,6 @@ TARGET_NOISE_CLIP = 0.5  # TD3: bound on the target-action smoothing noise
 EVAL_EPISODES = 256  # episodes of `mean_step_reward`
 
 
-class TrainingDiverged(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class RlHyper:
     lr: float
@@ -226,11 +222,6 @@ def sample_seeds(phantom, bundle_name, n, rng):
     return seeds, hints
 
 
-def _check_finite(value, what):
-    if not np.isfinite(value):
-        raise TrainingDiverged(f"non-finite {what} ({value}); training aborted")
-
-
 def update_critics(bundle, opt, batch, rng):
     """One TD step of every critic of `bundle` on `batch`; returns the loss."""
     s, a, r, s2, d = batch
@@ -265,11 +256,7 @@ def update_critics(bundle, opt, batch, rng):
         err = q - yt
         losses.append((err * err).mean())
     loss = losses[0] if len(losses) == 1 else losses[0] + losses[1]
-    _check_finite(float(loss.data), "critic loss")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return float(loss.data)
+    return opt.minimize(loss, "critic loss")
 
 
 def _update_actor(bundle, opt, batch, rng):
@@ -286,11 +273,7 @@ def _update_actor(bundle, opt, batch, rng):
             a = tanh(bundle.actor(st))
             x = concat([st, a], axis=1)
             loss = -(bundle.critics[0](x)[:, 0]).mean()
-    _check_finite(float(loss.data), "actor loss")
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return float(loss.data)
+    return opt.minimize(loss, "actor loss")
 
 
 def uniform_actions(states, rng):

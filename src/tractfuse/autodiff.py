@@ -147,13 +147,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
     # -- backward -------------------------------------------------------------
 
     def backward(self, grad=None):

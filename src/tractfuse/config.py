@@ -4,6 +4,15 @@ preset, and range validation.
 Every default is either a published training value (policy and FusionNet
 hyperparameters) or a documented design choice; the resolved configuration
 is echoed next to the outputs so each run is self-describing.
+
+`KEYS` is the one table of keys: each maps to its default and its bound,
+and the bound text is both the check and the error message. A bound is
+`"> a"` or `">= a"`, optionally followed by a unit word (`">= 1 voxel"`),
+or an interval `"(a, b]"` whose brackets say which ends it includes. Every
+int and float key has one; the three string keys (`phantom.kind`,
+`phantom.dims`, `phantom.name`) have `None` and are checked by hand in
+`resolve_config`. A count bounded `">= 0"` is one where zero skips that
+training. Float values must also be finite.
 """
 
 from __future__ import annotations
@@ -13,61 +22,64 @@ from dataclasses import dataclass
 
 from . import phantom
 
-DEFAULTS = {
-    "seed": 0,
+KEYS = {
+    "seed": (0, ">= 0"),
     # phantom
-    "phantom.kind": "crossing-pair",   # one of phantom.KINDS
-    "phantom.dims": "40,40,12",
-    "phantom.voxel_size": 1.0,
-    "phantom.radius": 2.5,
-    "phantom.name": "bundle",
-    "phantom.gt_streamlines": 16,
+    "phantom.kind": ("crossing-pair", None),   # one of phantom.KINDS
+    "phantom.dims": ("40,40,12", None),
+    "phantom.voxel_size": (1.0, "> 0"),
+    "phantom.radius": (2.5, ">= 1 voxel"),
+    "phantom.name": ("bundle", None),
+    "phantom.gt_streamlines": (16, ">= 1"),
     # environment
-    "env.step_size": 0.375,
-    "env.max_steps": 530,
-    "env.max_angle_deg": 60.0,
-    "env.neighbor_offset": 1.0,
+    "env.step_size": (0.375, "(0, 1]"),
+    "env.max_steps": (530, ">= 1"),
+    "env.max_angle_deg": (60.0, "(0, 180)"),
+    "env.neighbor_offset": (1.0, "> 0"),
     # RL training
-    "rl.batches": 50,
-    "rl.episodes_per_batch": 128,
-    "rl.grad_steps_per_batch": 100,
-    "rl.batch_size": 4096,
-    "rl.replay_capacity": 200000,
-    "rl.hidden": 1024,
-    "td3.lr": 8.56e-6, "td3.sigma": 0.334, "td3.gamma": 0.776,
-    "sac.lr": 3.7e-5, "sac.sigma": 0.4, "sac.gamma": 0.89, "sac.alpha": 0.076,
-    "ddpg.lr": 8.56e-6, "ddpg.sigma": 0.35, "ddpg.gamma": 0.5,
+    "rl.batches": (50, ">= 0"),
+    "rl.episodes_per_batch": (128, ">= 1"),
+    "rl.grad_steps_per_batch": (100, ">= 0"),
+    "rl.batch_size": (4096, ">= 1"),
+    "rl.replay_capacity": (200000, ">= 1"),
+    "rl.hidden": (1024, ">= 1"),
+    "td3.lr": (8.56e-6, "> 0"), "td3.sigma": (0.334, ">= 0"), "td3.gamma": (0.776, "(0, 1]"),
+    "sac.lr": (3.7e-5, "> 0"), "sac.sigma": (0.4, "> 0"), "sac.gamma": (0.89, "(0, 1]"),
+    "sac.alpha": (0.076, ">= 0"),
+    "ddpg.lr": (8.56e-6, "> 0"), "ddpg.sigma": (0.35, ">= 0"), "ddpg.gamma": (0.5, "(0, 1]"),
     # episodic data selection
-    "eds.window": 4,
-    "eds.seeds_per_voxel": 4,
-    "eds.min_transitions": 47,
-    "eds.mdf_threshold_mm": 5.0,
-    "eds.reference_count": 15,
-    "eds.pretrain_target": 150000,
-    "eds.finetune_target": 50000,
+    "eds.window": (4, ">= 1"),
+    "eds.seeds_per_voxel": (4, ">= 1"),
+    "eds.min_transitions": (47, ">= 1"),
+    "eds.mdf_threshold_mm": (5.0, "> 0"),
+    "eds.reference_count": (15, ">= 1"),
+    "eds.pretrain_target": (150000, ">= 1"),
+    "eds.finetune_target": (50000, ">= 1"),
     # fusion model + supervised stages
-    "fusion.context": 40,
-    "fusion.width": 128,
-    "fusion.blocks": 4,
-    "fusion.dropout": 0.1,
-    "fusion.lr": 1e-4,
-    "fusion.warmup": 10000,
-    "fusion.batch_size": 128,
-    "fusion.pretrain_iters": 30,
-    "fusion.finetune_iters": 10,
-    "fusion.updates_per_iter": 10000,
+    "fusion.context": (40, ">= 5"),
+    "fusion.width": (128, ">= 1"),
+    "fusion.blocks": (4, ">= 1"),
+    "fusion.dropout": (0.1, "[0, 1)"),
+    "fusion.lr": (1e-4, "> 0"),
+    "fusion.warmup": (10000, ">= 0"),
+    "fusion.batch_size": (128, ">= 1"),
+    "fusion.pretrain_iters": (30, ">= 1"),
+    "fusion.finetune_iters": (10, ">= 1"),
+    "fusion.updates_per_iter": (10000, ">= 1"),
     # multi-critic fine-tuning
-    "mcpft.iters": 25,
-    "mcpft.batch_size": 512,
-    "mcpft.actor_updates": 1000,
-    "mcpft.critic_updates": 1,
-    "mcpft.lr": 1e-4,
-    "mcpft.rollout_episodes": 32,
+    "mcpft.iters": (25, ">= 0"),
+    "mcpft.batch_size": (512, ">= 1"),
+    "mcpft.actor_updates": (1000, ">= 0"),
+    "mcpft.critic_updates": (1, ">= 0"),
+    "mcpft.lr": (1e-4, "> 0"),
+    "mcpft.rollout_episodes": (32, ">= 1"),
     # tracking / evaluation
-    "track.seeds_per_voxel": 7,
-    "track.rtg0": 300.0,
-    "track.post_filter_threshold_mm": 5.0,
+    "track.seeds_per_voxel": (7, ">= 1"),
+    "track.rtg0": (300.0, "> 0"),
+    "track.post_filter_threshold_mm": (5.0, "> 0"),
 }
+
+DEFAULTS = {key: default for key, (default, _) in KEYS.items()}
 
 # Laptop-scale preset: shrinks schedule magnitudes (iterations /10,
 # updates-per-iter /100, dataset targets 1500/500) and, so learning is
@@ -117,7 +129,7 @@ class RunConfig:
         return self.values[key]
 
     def dims(self):
-        return tuple(int(x) for x in str(self.values["phantom.dims"]).split(","))
+        return _parse_dims(self.values["phantom.dims"])
 
     def to_text(self):
         lines = [f"{k} = {self.values[k]}" for k in sorted(self.values)]
@@ -156,62 +168,23 @@ def _coerce(key, raw, errors):
     return raw
 
 
-# Float keys must be finite; an infinite post-filter threshold turns the
-# filter off.
+# An infinite post-filter threshold turns the filter off.
 _INF_ALLOWED = ("track.post_filter_threshold_mm",)
 
-_RANGE_CHECKS = [
-    ("seed", lambda v: v >= 0, ">= 0"),
-    ("td3.gamma", lambda v: 0 < v <= 1, "(0, 1]"),
-    ("sac.gamma", lambda v: 0 < v <= 1, "(0, 1]"),
-    ("ddpg.gamma", lambda v: 0 < v <= 1, "(0, 1]"),
-    ("td3.sigma", lambda v: v >= 0, ">= 0"),
-    ("sac.sigma", lambda v: v > 0, "> 0"),
-    ("ddpg.sigma", lambda v: v >= 0, ">= 0"),
-    ("td3.lr", lambda v: v > 0, "> 0"),
-    ("sac.lr", lambda v: v > 0, "> 0"),
-    ("ddpg.lr", lambda v: v > 0, "> 0"),
-    ("sac.alpha", lambda v: v >= 0, ">= 0"),
-    ("fusion.lr", lambda v: v > 0, "> 0"),
-    ("mcpft.lr", lambda v: v > 0, "> 0"),
-    ("env.step_size", lambda v: 0 < v <= 1, "(0, 1]"),
-    ("env.max_steps", lambda v: v >= 1, ">= 1"),
-    ("env.max_angle_deg", lambda v: 0 < v < 180, "(0, 180)"),
-    ("phantom.radius", lambda v: v >= 1, ">= 1 voxel"),
-    ("phantom.voxel_size", lambda v: v > 0, "> 0"),
-    ("fusion.dropout", lambda v: 0 <= v < 1, "[0, 1)"),
-    ("fusion.context", lambda v: v >= 5, ">= 5"),
-    ("eds.min_transitions", lambda v: v >= 1, ">= 1"),
-    ("eds.mdf_threshold_mm", lambda v: v > 0, "> 0"),
-    ("eds.reference_count", lambda v: v >= 1, ">= 1"),
-    ("eds.window", lambda v: v >= 1, ">= 1"),
-    ("track.seeds_per_voxel", lambda v: v >= 1, ">= 1"),
-    ("track.rtg0", lambda v: v > 0, "> 0"),
-    ("track.post_filter_threshold_mm", lambda v: v > 0, "> 0"),
-    # sizes and counts; >= 0 where zero means "skip this training"
-    ("phantom.gt_streamlines", lambda v: v >= 1, ">= 1"),
-    ("rl.batches", lambda v: v >= 0, ">= 0"),
-    ("rl.episodes_per_batch", lambda v: v >= 1, ">= 1"),
-    ("rl.grad_steps_per_batch", lambda v: v >= 0, ">= 0"),
-    ("rl.batch_size", lambda v: v >= 1, ">= 1"),
-    ("rl.replay_capacity", lambda v: v >= 1, ">= 1"),
-    ("rl.hidden", lambda v: v >= 1, ">= 1"),
-    ("eds.seeds_per_voxel", lambda v: v >= 1, ">= 1"),
-    ("eds.pretrain_target", lambda v: v >= 1, ">= 1"),
-    ("eds.finetune_target", lambda v: v >= 1, ">= 1"),
-    ("fusion.width", lambda v: v >= 1, ">= 1"),
-    ("fusion.blocks", lambda v: v >= 1, ">= 1"),
-    ("fusion.warmup", lambda v: v >= 0, ">= 0"),
-    ("fusion.batch_size", lambda v: v >= 1, ">= 1"),
-    ("fusion.pretrain_iters", lambda v: v >= 1, ">= 1"),
-    ("fusion.finetune_iters", lambda v: v >= 1, ">= 1"),
-    ("fusion.updates_per_iter", lambda v: v >= 1, ">= 1"),
-    ("mcpft.iters", lambda v: v >= 0, ">= 0"),
-    ("mcpft.batch_size", lambda v: v >= 1, ">= 1"),
-    ("mcpft.actor_updates", lambda v: v >= 0, ">= 0"),
-    ("mcpft.critic_updates", lambda v: v >= 0, ">= 0"),
-    ("mcpft.rollout_episodes", lambda v: v >= 1, ">= 1"),
-]
+
+def _within(value, bound):
+    """Whether `value` lies inside one `KEYS` bound text."""
+    if bound.startswith(">"):
+        op, edge = bound.split()[:2]
+        return value >= float(edge) if op == ">=" else value > float(edge)
+    lo, hi = (float(edge) for edge in bound[1:-1].split(", "))
+    return ((value >= lo if bound[0] == "[" else value > lo)
+            and (value <= hi if bound[-1] == "]" else value < hi))
+
+
+def _parse_dims(text):
+    """`phantom.dims` as a tuple of ints; ValueError if a part is not one."""
+    return tuple(int(d) for d in str(text).split(","))
 
 
 def resolve_config(text="", preset=None, seed_override=None):
@@ -229,17 +202,17 @@ def resolve_config(text="", preset=None, seed_override=None):
         values[key] = _coerce(key, raw, errors)
     if seed_override is not None:
         values["seed"] = int(seed_override)
-    for key, value in values.items():
+    for key, (_, bound) in KEYS.items():
+        value = values[key]
         if (isinstance(value, float) and not math.isfinite(value)
                 and not (key in _INF_ALLOWED and value == math.inf)):
             errors.append(f"key '{key}': value {value} is not finite")
-    for key, check, bound in _RANGE_CHECKS:
-        if not check(values[key]):
-            errors.append(f"key '{key}': value {values[key]} outside {bound}")
+        if bound is not None and not _within(value, bound):
+            errors.append(f"key '{key}': value {value} outside {bound}")
     try:
-        dims = [int(d) for d in str(values["phantom.dims"]).split(",")]
+        dims = _parse_dims(values["phantom.dims"])
     except ValueError:
-        dims = []
+        dims = ()
     if len(dims) != 3:
         errors.append(f"key 'phantom.dims': expected 3 comma-separated ints, got {values['phantom.dims']!r}")
     elif min(dims) < 8:

@@ -6,8 +6,9 @@ or on a zero-norm action (`no_direction`), which takes no step.
 State layout: 45 SH coefficients at the current position and its 6 axis
 neighbors (315), last 4 tracking directions newest-first (12, zero-padded),
 and the interpolated mask value at the same 7 positions (7). `build_states`
-reads both fields in one `sample_field` call, and `peak_hints` looks up the
-peaks of all seeds in one `Phantom.peaks_at` call.
+reads both fields in one `sample_field` call. `peak_hints` looks up the
+peaks of all seeds, and `BatchTracker.step` those of all live rows, in one
+`Phantom.peaks_at` call.
 
 `BatchTracker` is the only episode API. It steps many episodes in lockstep
 with numpy (a single episode is a one-row batch), and `BatchTracker.run` is
@@ -173,12 +174,8 @@ class BatchTracker:
         a = acts / norms
 
         pos, prev, has_prev = self.pos[live], self.prev_dir[live], self.has_prev[live]
-        idx = np.minimum(np.maximum(np.rint(pos).astype(int), 0),
-                         np.asarray(self.phantom.grid.dims) - 1)
         rewards = np.zeros(self.n)
-        rewards[live] = reward(a, prev, has_prev,
-                               self.phantom.peak_counts[idx[:, 0], idx[:, 1], idx[:, 2]],
-                               self.phantom.peak_dirs[idx[:, 0], idx[:, 1], idx[:, 2]])
+        rewards[live] = reward(a, prev, has_prev, *self.phantom.peaks_at(pos))
         cos_ang = np.einsum("nj,nj->n", a, prev)
 
         done_angle = has_prev & (cos_ang < self._cos_limit)

@@ -220,12 +220,7 @@ def _supervised_stage(model, records, schedule, trainable, seed, stage_name):
                 rtg, s, a, valid = sample_windows(records, c, schedule.batch_size, rng)
                 pred = model.predict_actions(rtg, s, a, pad_mask=valid, training=True, rng=rng)
                 loss = loss_dist_cos(pred, a, valid)
-                if not np.isfinite(loss.data):
-                    raise FusionError(f"{stage_name}: non-finite loss; training aborted")
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                losses.append(float(loss.data))
+                losses.append(opt.minimize(loss, f"{stage_name} loss"))
             log["iteration_loss"].append(float(np.mean(losses)) if losses else float("nan"))
     return log
 
@@ -350,13 +345,8 @@ def mcpft(model, policies, records, phantom, bundle_name, env_cfg, schedule, see
             rtg, s, a, valid = sample_windows(records, c, schedule.batch_size, rng)
             loss, sup = mcpft_actor_loss(model, policies, rtg, s, a, valid,
                                          training=True, rng=rng)
-            if not np.isfinite(loss.data):
-                raise FusionError("mcpft: non-finite actor loss; training aborted")
-            actor_opt.zero_grad()
-            loss.backward()
-            actor_opt.step()
+            log["actor_loss"].append(actor_opt.minimize(loss, "mcpft actor loss"))
             n_actor += 1
-            log["actor_loss"].append(float(loss.data))
             log["supervised_loss"].append(float(sup.data))
         log["actor_updates"].append(n_actor)
 

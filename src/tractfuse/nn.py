@@ -9,7 +9,9 @@ the storage of the parameters it trains: their `data` are views into its
 flat buffer, and a step updates all of them in one pass, so each needs a
 gradient. Anything that writes a parameter (the optimizer, `assign_params`,
 target-net soft updates) writes `p.data` in place; rebinding `p.data`
-detaches the parameter from its optimizer.
+detaches the parameter from its optimizer. `AdamW.minimize(loss, what)` is
+every stage's training step, and a non-finite loss stops it with
+`TrainingDiverged` before any parameter is written.
 
 Each layer also has `infer`, a tape-free numpy forward for inference. It
 works in place, frees each temporary once used, and gives the taped
@@ -290,6 +292,10 @@ class StaleParameterError(RuntimeError):
     storage, so a step would train a copy nobody reads."""
 
 
+class TrainingDiverged(RuntimeError):
+    """A training loss was not finite, so no step was taken."""
+
+
 class AdamW:
     """AdamW with bias correction and a linear warmup ramp to a flat lr.
 
@@ -326,6 +332,19 @@ class AdamW:
         if self.warmup > 0:
             return self.lr * min(1.0, self.step_count / self.warmup)
         return self.lr
+
+    def minimize(self, loss, what):
+        """One training step on a scalar `loss`: clear every gradient,
+        backpropagate and step. A non-finite loss raises `TrainingDiverged`
+        naming `what`, before anything is touched. Returns the loss."""
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise TrainingDiverged(f"non-finite {what} ({value}); training aborted")
+        for p in self.params.values():
+            p.grad = None
+        loss.backward()
+        self.step()
+        return value
 
     def step(self):
         """Update every parameter. A caller hands `AdamW` only what it trains,
@@ -370,10 +389,6 @@ class AdamW:
         np.divide(s1, s2, out=s1)                # upd = mhat / (sqrt(vhat) + eps)
         np.multiply(lr_eff, s1, out=s1)
         np.subtract(x, s1, out=x)                # x - lr_eff*upd
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
 
 
 # -- checkpoint IO ("CKP1") ---------------------------------------------------

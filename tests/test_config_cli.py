@@ -3,6 +3,7 @@ override, manifests, provenance verification)."""
 
 import ast
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -21,8 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractfuse import agents, cli, eds, fusion, pipeline
-from tractfuse.config import (_RANGE_CHECKS, DEFAULTS, ConfigError,
-                              parse_config_text, resolve_config)
+from tractfuse.config import DEFAULTS, KEYS, ConfigError, parse_config_text, resolve_config
 from tractfuse.eds import EdsError
 from tractfuse.env import STATE_DIM
 from tractfuse.geometry import load_streamlines
@@ -213,6 +213,17 @@ def test_desk_preset_overrides():
     assert cfg["seed"] == DEFAULTS["seed"]
 
 
+@pytest.mark.parametrize("preset,sha256", [
+    (None, "8444f087eff60dff9630ede637eb4f66560ffa4aa423f68d011ceac979da700a"),
+    ("desk", "1ddbda3fb48656cf2d60fc10a54404003d6184d73c99a50535f5966a8f0b0363"),
+])
+def test_resolved_text_bytes_pinned(preset, sha256):
+    """Every manifest hashes `to_text()`, so the defaults and the desk
+    preset keep these exact bytes."""
+    text = resolve_config("", preset=preset).to_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
 def test_file_overrides_preset():
     cfg = resolve_config("rl.batches = 9\ntrack.post_filter_threshold_mm = inf", preset="desk")
     assert cfg["rl.batches"] == 9
@@ -258,7 +269,7 @@ def test_unknown_preset_rejected():
 def test_gamma_out_of_range_names_key_and_bound(key, value):
     with pytest.raises(ConfigError) as e:
         resolve_config(f"{key} = {value}")
-    bound = {k: b for k, _, b in _RANGE_CHECKS}[key]
+    bound = KEYS[key][1]
     assert f"key '{key}'" in str(e.value) and bound in str(e.value)
 
 
@@ -400,6 +411,18 @@ def test_cli_bad_setting_exit_1(tmp_path, capsys, argv, cfg_text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("offset", ["0", "-1"])
+def test_cli_rejects_offset_without_extent(tmp_path, capsys, offset):
+    """A zero offset puts all seven state probes on one point, a negative one
+    swaps each neighbor with its opposite: train-rl exits 1 on the config."""
+    p = tmp_path / "run.cfg"
+    p.write_text(DESK_TUBE + f"env.neighbor_offset = {offset}\n")
+    rc = cli.main(["--preset", "desk", "--config", str(p), "--out", str(tmp_path / "o"),
+                   "train-rl", "--algo", "td3"])
+    assert rc == 1
+    assert "config error: key 'env.neighbor_offset'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind,dims,radius", [
     ("straight-tube", "8,8,8", 3),
     ("helix", "9,9,8", 3),
@@ -457,7 +480,7 @@ _NUMBER = r"-?[0-9.]+"
 
 
 def _past_bound(bound, as_int):
-    """Values outside one `_RANGE_CHECKS` bound text ("> 0", ">= 1 voxel",
+    """Values outside one `KEYS` bound text ("> 0", ">= 1 voxel",
     "(0, 1]", ...): the value just past each edge, or any value beyond it."""
     lower = re.fullmatch(rf"(>=?) ({_NUMBER})( \w+)?", bound)
     pair = re.fullmatch(rf"([(\[])({_NUMBER}), ({_NUMBER})([)\]])", bound)
@@ -529,10 +552,18 @@ def bad_values(key):
         non_finite = ["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400"]
         out.append(st.sampled_from([v for v in non_finite if not (
             key == "track.post_filter_threshold_mm" and float(v) == math.inf)]))
-    bound = {k: b for k, _, b in _RANGE_CHECKS}.get(key)
+    bound = KEYS[key][1]
     if bound is not None:
         out += _past_bound(bound, as_int)
     return st.one_of(out)
+
+
+def test_every_numeric_key_has_a_bound():
+    """So `bad_values` draws out-of-range values for every int and float key;
+    only the three string keys are checked by hand."""
+    unbounded = [k for k, (_, bound) in KEYS.items() if bound is None]
+    assert sorted(unbounded) == ["phantom.dims", "phantom.kind", "phantom.name"]
+    assert all(isinstance(DEFAULTS[k], str) for k in unbounded)
 
 
 @pytest.mark.parametrize("key", list(DEFAULTS))

@@ -254,6 +254,36 @@ def test_pretrain_empty_dataset_rejected():
                                                         batch_size=2, lr=1e-3, warmup=0))
 
 
+def nan_records():
+    recs = make_records()
+    for r in recs:
+        r.states[:] = np.nan
+    return recs
+
+
+def test_pretrain_nan_loss_raises_before_any_write():
+    m = tiny_model()
+    before = params_bytes(m.params())
+    with pytest.raises(nn.TrainingDiverged, match="non-finite pretrain loss"):
+        fusion.pretrain(m, nan_records(), TrainSchedule(iterations=1, updates_per_iter=1,
+                                                        batch_size=2, lr=1e-3, warmup=0))
+    assert params_bytes(m.params()) == before
+
+
+def test_mcpft_nan_loss_raises_before_any_write(tube_phantom, env_cfg, tiny_policies):
+    m = tiny_model()
+
+    def every_param():
+        return params_bytes({**m.params(), **{f"{n}.{k}": v for n, p in tiny_policies.items()
+                                              for k, v in p.params().items()}})
+
+    before = every_param()
+    with pytest.raises(nn.TrainingDiverged, match="non-finite mcpft actor loss"):
+        fusion.mcpft(m, tiny_policies, nan_records(), tube_phantom, "tube", env_cfg,
+                     McpftSchedule(iterations=1), seed=0)
+    assert every_param() == before
+
+
 def test_finetune_freezes_early_layers():
     m = tiny_model()
     frozen_before = {k: v.data.tobytes() for k, v in m.frozen_params().items()}
