@@ -38,7 +38,7 @@ def _one_blas_thread():
     only an OpenBLAS that numpy loads after it; this call also pins one that
     a process loaded before it imported tractfuse. The library is the
     scipy-openblas in `numpy.libs` that numpy's Linux wheels ship since
-    numpy 2.0; a numpy built on another BLAS is left as it is."""
+    numpy 2.0; returns its handle (None on another BLAS, left as it is)."""
     import ctypes
     from pathlib import Path
 
@@ -46,10 +46,13 @@ def _one_blas_thread():
 
     libs = Path(numpy.__file__).resolve().parents[1] / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        lib = ctypes.CDLL(str(path))
+        set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
         if set_threads is not None:
             set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
             set_threads(1)
+            return lib
+    return None
 
 
 _import_numpy_on_one_thread()

@@ -249,7 +249,6 @@ def update_critics(bundle, opt, batch, rng):
 
     xt = Tensor(np.concatenate([s, a], axis=1))
     yt = Tensor(y.astype(np.float32)[:, None])
-    loss_total = 0.0
     losses = []
     for c in bundle.critics:
         q = c(xt)

@@ -317,10 +317,10 @@ class Tensor:
 # -- elementwise primitives ---------------------------------------------------
 
 def relu_np(x, out=None):
-    """ReLU of a numpy array, bit-equal to `np.where(x > 0, x, 0)`: `fmax`
-    maps NaN and -inf to 0, and adding +0 turns a -0 from `fmax` into +0."""
+    """ReLU of a numpy array: `maximum` keeps NaN, and adding +0 turns its -0
+    into +0, so every other value has the bits of `np.where(x > 0, x, 0)`."""
     zero = x.dtype.type(0)
-    out = np.fmax(x, zero, out=out)
+    out = np.maximum(x, zero, out=out)
     return np.add(out, zero, out=out)
 
 
@@ -377,26 +377,39 @@ def arccos_clamped(x):
         np.where(inside, -g / np.sqrt(1.0 - xc * xc), 0.0),))
 
 
+def softmax_np(x, axis=-1, out=None):
+    """Softmax of a numpy array along `axis`; `out=x` works in place."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
 def softmax(x, axis=-1):
     x = Tensor.as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_np(x.data, axis)
     return Tensor._make(y, (x,), lambda g: (
         y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
-LAYERNORM_EPS = 1e-5  # also read by nn.LayerNorm.infer, which must give the same bits
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm_np(x):
+    """`layernorm` of a numpy array into a new array; returns it and 1/std."""
+    y = x - x.mean(axis=-1, keepdims=True)
+    inv = (y * y).mean(axis=-1, keepdims=True)  # the variance, inverted in place
+    inv += LAYERNORM_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
+    return y, inv
 
 
 def layernorm(x):
     """Normalize the last axis to zero mean, unit variance (no affine)."""
     x = Tensor.as_tensor(x)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    y = xc * inv
+    y, inv = layernorm_np(x.data)
 
     def grad_fn(g):
         gm = g.mean(axis=-1, keepdims=True)

@@ -10,7 +10,7 @@ Stages (each writes its outputs plus a hash manifest into --out):
     mcpft     -> fusion_mcpft_<bundle>.ckp     (--bundle)
     track     -> tracks_<algo>_<bundle>.stl    (--algo ... --bundle)
     evaluate  -> scores.tsv   (verifies upstream hashes unless --force)
-    report    -> report.txt, printed table
+    report    -> report.txt, report.dat, printed table
 
 Exit codes: 0 success, 1 bad command line or configuration, missing
 upstream artifact, unwritable --out, corrupt checkpoint or failed

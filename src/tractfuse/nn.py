@@ -15,12 +15,13 @@ every stage's training step, and a non-finite loss stops it with
 
 Each layer also has `infer`, a tape-free numpy forward for inference. It
 works in place, frees each temporary once used, and gives the taped
-forward's bits: it keeps the tape's operands (contiguous copies where
-`Tensor.__getitem__` and `Tensor.swapaxes` copy, float32 scalars where
-`Tensor.as_tensor` casts one) and its operation order. One switch picks
-the path: `GptBlockStack.__call__` runs `infer` under `autodiff.no_grad`
-when not training. Nothing else asks whether the tape is on; callers that
-want `Mlp.infer` call it by name.
+forward's bits: its ReLU, softmax and layernorm are the `autodiff` kernels
+the taped ops call, and Linear and attention keep the tape's operands
+(contiguous copies where `Tensor.__getitem__` and `Tensor.swapaxes` copy,
+float32 scalars where `Tensor.as_tensor` casts one) and operation order.
+`GptBlockStack.__call__` runs `infer` under `autodiff.no_grad` when not
+training; nothing else asks whether the tape is on, and callers that want
+`Mlp.infer` call it by name.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import struct
 import numpy as np
 
 from . import binio
-from .autodiff import (LAYERNORM_EPS, Tensor, concat, dropout, grad_enabled, layernorm, relu,
-                       relu_np, softmax)
+from .autodiff import (Tensor, concat, dropout, grad_enabled, layernorm, layernorm_np, relu,
+                       relu_np, softmax, softmax_np)
 
 CKP_MAGIC = b"CKP1"
 _META_PREFIX = "__meta__/"
@@ -98,13 +99,12 @@ class Mlp:
         return self.layers[-1](x)
 
     def infer(self, x):
-        """Tape-free forward of a float32 batch. The hidden ReLUs are
-        `np.maximum`, which keeps a NaN, so a non-finite input still reaches
-        the caller's finiteness check."""
+        """Tape-free forward of a float32 batch. `relu_np` keeps a NaN, so a
+        non-finite input still reaches the caller's finiteness check."""
         h = np.asarray(x, dtype=np.float32)
         for layer in self.layers[:-1]:
             h = layer.infer(h)
-            np.maximum(h, 0.0, out=h)
+            relu_np(h, out=h)
         return self.layers[-1].infer(h)
 
     def params(self, prefix=""):
@@ -124,14 +124,7 @@ class LayerNorm:
 
     def infer(self, x):
         """`layernorm(x) * g + b` into a new array; `x` is left as it is."""
-        y = x - x.mean(axis=-1, keepdims=True)
-        sq = y * y
-        inv = sq.mean(axis=-1, keepdims=True)  # the variance, inverted in place
-        del sq
-        inv += LAYERNORM_EPS
-        np.sqrt(inv, out=inv)
-        np.divide(1.0, inv, out=inv)
-        y *= inv
+        y, _ = layernorm_np(x)
         y *= self.g.data
         y += self.b.data
         return y
@@ -174,10 +167,7 @@ class CausalSelfAttention:
         att += causal_bias
         if pad_bias is not None:
             att += pad_bias
-        att -= att.max(axis=-1, keepdims=True)
-        np.exp(att, out=att)
-        att /= att.sum(axis=-1, keepdims=True)
-        y = np.matmul(att, v)
+        y = np.matmul(softmax_np(att, out=att), v)
         del att, v
         return self.proj.infer(y)
 

@@ -295,19 +295,20 @@ def stage_track(cfg, outdir, algo, bundle_name):
 
 
 def verify_provenance(outdir):
-    """Recheck every manifest's recorded input hashes; returns mismatches."""
+    """Recheck the input and output hashes every manifest records; returns mismatches."""
     outdir = Path(outdir)
     problems = []
     sha256 = functools.cache(_sha256)  # a file listed by many manifests is hashed once
     for mpath in sorted(outdir.glob("manifest_*.json")):
         with open(mpath) as f:
             manifest = json.load(f)
-        for name, recorded in manifest.get("inputs", {}).items():
-            path = outdir / name
-            if not path.exists():
-                problems.append(f"{mpath.name}: input {name} missing")
-            elif sha256(path) != recorded:
-                problems.append(f"{mpath.name}: input {name} hash mismatch")
+        for kind in ("input", "output"):
+            for name, recorded in manifest.get(f"{kind}s", {}).items():
+                path = outdir / name
+                if not path.exists():
+                    problems.append(f"{mpath.name}: {kind} {name} missing")
+                elif sha256(path) != recorded:
+                    problems.append(f"{mpath.name}: {kind} {name} hash mismatch")
     return problems
 
 

@@ -350,23 +350,27 @@ def test_actor_update_leaves_critics_unchanged():
 
 
 @pytest.mark.parametrize("algo", agents.ALGOS)
-@pytest.mark.parametrize("update", ["critic", "actor"])
+@pytest.mark.parametrize("update", ["critic", "actor", "actor-state"])
 def test_nan_loss_raises_before_any_write(algo, update):
-    """A NaN reward (critic update) or NaN critic weights (actor update)
-    stop the update with `TrainingDiverged`, a RuntimeError (so the CLI
-    exits 2), naming the loss; no parameter's bytes change and the
-    optimizer takes no step."""
+    """A NaN reward (critic update), NaN critic weights (actor update) or a
+    NaN state (actor update; the taped ReLUs keep it) stop the update with
+    `TrainingDiverged`, a RuntimeError (so the CLI exits 2), naming the
+    loss; no parameter's bytes change and the optimizer takes no step."""
     p = PolicyBundle(algo, hyper=RlHyper(lr=1e-2, sigma=0.1, gamma=0.9, alpha=0.1), hidden=8)
     s, a, r, s2, d = small_batch(done=0.0)
     if update == "critic":
         r[3] = np.nan
         opt, step = nn.AdamW(p.critic_params(), lr=1e-2), agents.update_critics
     else:
-        for v in p.critic_params().values():
-            v.data[...] = np.nan
+        if update == "actor":
+            for v in p.critic_params().values():
+                v.data[...] = np.nan
+        else:
+            s[5, 2] = np.nan
         opt, step = nn.AdamW(p.actor_params(), lr=1e-2), agents._update_actor
     before = {k: v.data.tobytes() for k, v in p.params().items()}
-    with pytest.raises(nn.TrainingDiverged, match=f"non-finite {update} loss"):
+    loss = update.partition("-")[0]
+    with pytest.raises(nn.TrainingDiverged, match=f"non-finite {loss} loss"):
         step(p, opt, (s, a, r, s2, d), np.random.default_rng(0))
     assert issubclass(nn.TrainingDiverged, RuntimeError)
     assert {k: v.data.tobytes() for k, v in p.params().items()} == before

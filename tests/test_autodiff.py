@@ -379,30 +379,63 @@ def test_basic_slice_backward_bit_equal_to_add_at(idx):
     assert x.grad.tobytes() == ref.tobytes()
 
 
-# -- relu kernel --------------------------------------------------------------
+# -- nonlinearity kernels -----------------------------------------------------
+
+def assert_relu_bits(got, x):
+    """NaN stays NaN; every other value has the bytes of `np.where(x > 0, x, 0)`."""
+    nan = np.isnan(x)
+    assert got.dtype == x.dtype and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == np.where(x > 0, x, 0)[~nan].tobytes()
+
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_relu_bits_equal_where_on_special_values(dtype):
-    """`fmax(x, 0) + 0` gives the bytes of `np.where(x > 0, x, 0)` on +-0,
-    NaN, +-inf, subnormals and the extremes."""
+    """`maximum(x, 0) + 0` keeps NaN and gives the bytes of
+    `np.where(x > 0, x, 0)` on +-0, +-inf, subnormals and the extremes."""
     fi = np.finfo(dtype)
     x = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, fi.smallest_subnormal,
                   -fi.smallest_subnormal, fi.tiny / 4, -fi.tiny / 4, fi.tiny, -fi.tiny,
                   fi.max, -fi.max, 1.0, -1.0], dtype=dtype)
-    expect = np.where(x > 0, x, 0)
     big = RNG.normal(size=(16, 24, 128)).astype(dtype)
-    for arr, want in ((x, expect), (big, np.where(big > 0, big, 0))):
+    big[3, 5, :7] = np.nan
+    for arr in (x, big):
         for got in (ad.relu(arr).data, ad.relu_np(arr)):
-            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+            assert_relu_bits(got, arr)
+
+
+def softmax_formula(x, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def layernorm_formula(x):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    return xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LAYERNORM_EPS))
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
-def test_relu_bits_equal_where(data, dtype):
+def test_kernel_bits_equal_op_and_in_place(data, dtype):
+    """Each nonlinearity kernel gives its op's bytes, in place too: ReLU
+    keeps NaN and otherwise gives `np.where(x > 0, x, 0)`; softmax and
+    layernorm give the bytes of their formulas written out in full."""
     x = data.draw(hnp.arrays(dtype, hnp.array_shapes(max_dims=3, max_side=20),
                              elements=st.floats(width=np.finfo(dtype).bits)))
-    expect = np.where(x > 0, x, 0)
-    assert ad.relu(x).data.tobytes() == expect.tobytes()
+    assert_relu_bits(ad.relu(x).data, x)
     out = x.copy()
     assert ad.relu_np(out, out=out) is out
-    assert out.tobytes() == expect.tobytes()
+    assert_relu_bits(out, x)
+
+    axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+    with np.errstate(all="ignore"):  # inf and NaN inputs are drawn on purpose
+        want = softmax_formula(x, axis).tobytes()
+        assert ad.softmax(x, axis).data.tobytes() == want
+        out = x.copy()
+        assert ad.softmax_np(out, axis, out=out) is out
+        assert out.tobytes() == want
+
+        want = layernorm_formula(x).tobytes()
+        keep = x.tobytes()
+        y, inv = ad.layernorm_np(x)
+        assert x.tobytes() == keep and y.dtype == inv.dtype == dtype
+        assert y.tobytes() == want and ad.layernorm(x).data.tobytes() == want

@@ -683,15 +683,15 @@ def test_provenance_detects_tamper(tmp_path, cfg_file, capsys):
 
 
 def test_provenance_hashes_each_input_once(tmp_path, monkeypatch):
-    """Four manifests list the same files; each file is hashed once, and
-    every manifest still reports its own problems."""
+    """Four manifests list the same files, as inputs and as outputs; each
+    file is hashed once, and every manifest still reports its own problems."""
     cfg = resolve_config(DESK_TUBE, preset="desk")
     a, b, c = (tmp_path / f"{x}.bin" for x in "abc")
     for path in (a, b, c):
         path.write_bytes(path.name.encode())
     for i in range(3):
         pipeline.write_manifest(tmp_path, f"s{i}", cfg, [a, b], [])
-    pipeline.write_manifest(tmp_path, "s3", cfg, [a, c], [])
+    pipeline.write_manifest(tmp_path, "s3", cfg, [a, c], [b])
     b.write_bytes(b"tampered")
     c.unlink()
     hashed = []
@@ -706,7 +706,8 @@ def test_provenance_hashes_each_input_once(tmp_path, monkeypatch):
         "manifest_s0.json: input b.bin hash mismatch",
         "manifest_s1.json: input b.bin hash mismatch",
         "manifest_s2.json: input b.bin hash mismatch",
-        "manifest_s3.json: input c.bin missing"]
+        "manifest_s3.json: input c.bin missing",
+        "manifest_s3.json: output b.bin hash mismatch"]
     assert sorted(hashed) == [a, b]
 
 
@@ -728,7 +729,8 @@ eds.finetune_target = 4
 @pytest.mark.filterwarnings("ignore:.*records for target")
 def test_eds_manifest_lists_ground_truth(tmp_path):
     """The eds stage builds its reference sets from gt_*.stl, so its manifest
-    records each of them and provenance catches a rewritten one."""
+    records each of them and provenance catches a rewritten one, both as an
+    eds input and as a phantom output."""
     cfg = resolve_config(EDS_CROSSING, preset="desk")
     out = tmp_path / "run"
     pipeline.stage_phantom(cfg, out)
@@ -744,7 +746,8 @@ def test_eds_manifest_lists_ground_truth(tmp_path):
         original = path.read_bytes()
         path.write_bytes(original[:-4] + b"\xff\xff\xff\x7f")
         assert pipeline.verify_provenance(out) == [
-            f"manifest_eds.json: input {name} hash mismatch"]
+            f"manifest_eds.json: input {name} hash mismatch",
+            f"manifest_phantom.json: output {name} hash mismatch"]
         path.write_bytes(original)
 
 
