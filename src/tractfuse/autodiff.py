@@ -385,11 +385,15 @@ def softmax_np(x, axis=-1, out=None):
     return out
 
 
+def softmax_grad_np(y, g, axis=-1):
+    """Gradient through a softmax whose output was `y`, given `g` for `y`."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
 def softmax(x, axis=-1):
     x = Tensor.as_tensor(x)
     y = softmax_np(x.data, axis)
-    return Tensor._make(y, (x,), lambda g: (
-        y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+    return Tensor._make(y, (x,), lambda g: (softmax_grad_np(y, g, axis),))
 
 
 LAYERNORM_EPS = 1e-5
@@ -406,17 +410,18 @@ def layernorm_np(x):
     return y, inv
 
 
+def layernorm_grad_np(y, inv, g):
+    """Gradient through `layernorm_np`, from its `(y, inv)` and `g` for `y`."""
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * y).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - y * gym)
+
+
 def layernorm(x):
     """Normalize the last axis to zero mean, unit variance (no affine)."""
     x = Tensor.as_tensor(x)
     y, inv = layernorm_np(x.data)
-
-    def grad_fn(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gym),)
-
-    return Tensor._make(y, (x,), grad_fn)
+    return Tensor._make(y, (x,), lambda g: (layernorm_grad_np(y, inv, g),))
 
 
 def concat(tensors, axis=-1):
@@ -433,12 +438,16 @@ def concat(tensors, axis=-1):
     return Tensor._make(out, tuple(tensors), grad_fn)
 
 
+def dropout_mask(shape, p, rng):
+    """Inverted-dropout mask: 0 where dropped, 1/(1-p) where kept. It is
+    float64 whatever the activations' dtype, so it promotes what it masks."""
+    return (rng.random(shape) >= p) * (1.0 / (1.0 - p))
+
+
 def dropout(x, p, rng, training):
     """Inverted dropout; identity when not training or p == 0."""
     x = Tensor.as_tensor(x)
     if not training or p <= 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= p)
-    scale = 1.0 / (1.0 - p)
-    mask = keep * scale
+    mask = dropout_mask(x.data.shape, p, rng)
     return Tensor._make(x.data * mask, (x,), lambda g: (g * mask,))

@@ -13,15 +13,28 @@ detaches the parameter from its optimizer. `AdamW.minimize(loss, what)` is
 every stage's training step, and a non-finite loss stops it with
 `TrainingDiverged` before any parameter is written.
 
-Each layer also has `infer`, a tape-free numpy forward for inference. It
-works in place, frees each temporary once used, and gives the taped
-forward's bits: its ReLU, softmax and layernorm are the `autodiff` kernels
-the taped ops call, and Linear and attention keep the tape's operands
-(contiguous copies where `Tensor.__getitem__` and `Tensor.swapaxes` copy,
-float32 scalars where `Tensor.as_tensor` casts one) and operation order.
-`GptBlockStack.__call__` runs `infer` under `autodiff.no_grad` when not
-training; nothing else asks whether the tape is on, and callers that want
-`Mlp.infer` call it by name.
+Each layer records one tape node: `Linear`, `LayerNorm` with its affine,
+`CausalSelfAttention` from `qkv` to `proj`, and a transformer block's MLP
+(fc, ReLU, fc_out, dropout); a block is those four nodes, a second
+layernorm and two residual adds. A node keeps only what its backward
+reads: Linear its input and weights; LayerNorm the normalized input and
+its 1/std; attention its input, q, kᵀ, v, the attention pattern, its
+dropout mask and the attended values; the MLP its input, the ReLU output
+and the dropout mask. The backward runs the gradient expressions of the
+`autodiff` ops these layers used to be composed of, in the same dtypes,
+so the bits are those of the composition (each weight gradient is still
+a batched product summed over the leading axes).
+
+Each layer also has `infer`, a tape-free numpy forward for inference,
+which is the same forward function as the node's: the taped call only
+asks it to keep what backward reads. `infer` works in place and frees
+each temporary once used. Its ReLU, softmax and layernorm are the
+`autodiff` kernels, and attention keeps the composed ops' operands
+(contiguous copies of q, kᵀ and v, the scale as a 0-d array of the
+scores' dtype, the biases cast to it). `GptBlockStack.__call__` runs
+`infer` under `autodiff.no_grad` when not training; nothing else asks
+whether the tape is on, and callers that want `Mlp.infer` call it by
+name.
 """
 
 from __future__ import annotations
@@ -31,8 +44,9 @@ import struct
 import numpy as np
 
 from . import binio
-from .autodiff import (Tensor, concat, dropout, grad_enabled, layernorm, layernorm_np, relu,
-                       relu_np, softmax, softmax_np)
+from .autodiff import (Tensor, _tracked, _unbroadcast, dropout_mask, grad_enabled,
+                       layernorm_grad_np, layernorm_np, relu, relu_np, softmax_grad_np,
+                       softmax_np)
 
 CKP_MAGIC = b"CKP1"
 _META_PREFIX = "__meta__/"
@@ -46,6 +60,24 @@ class CheckpointError(binio.FormatError):
 
 def parameter(arr):
     return Tensor(np.asarray(arr, dtype=np.float32), requires_grad=True)
+
+
+def _record(out, parents, grad_fn):
+    """Record `out` as one tape node over `parents`. `grad_fn(g, needs)`
+    returns a gradient per parent; `needs` flags the parents that were
+    tracked when the node was recorded, and the others may get None."""
+    needs = tuple(_tracked(p) for p in parents)
+    return Tensor._make(out, parents, lambda g: grad_fn(g, needs))
+
+
+def _linear_grads(x, w, g, needs):
+    """Gradients of `x @ w + b` for the flagged ones of (x, w, b). The weight
+    gradient is a batched product summed over the leading axes: one GEMM
+    over all rows would round differently."""
+    nx, nw, nb = needs
+    return (np.matmul(g, np.swapaxes(w, -1, -2)) if nx else None,
+            _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), w.shape) if nw else None,
+            _unbroadcast(g, (w.shape[-1],)) if nb else None)
 
 
 class Linear:
@@ -66,7 +98,11 @@ class Linear:
         self.n_out = n_out
 
     def __call__(self, x):
-        return x @ self.w + self.b
+        """One node; backward reads the input and the weights."""
+        x = Tensor.as_tensor(x)
+        xd, w = x.data, self.w.data
+        return _record(self.infer(xd), (x, self.w, self.b),
+                       lambda g, needs: _linear_grads(xd, w, g, needs))
 
     def infer(self, x):
         y = np.matmul(x, self.w.data)
@@ -120,14 +156,30 @@ class LayerNorm:
         self.b = parameter(np.zeros(width))
 
     def __call__(self, x):
-        return layernorm(x) * self.g + self.b
+        """One node; backward reads the normalized input and its 1/std."""
+        x = Tensor.as_tensor(x)
+        out, y, inv = self._forward(x.data, keep_norm=True)
+        gamma = self.g.data
+
+        def grad_fn(g, needs):
+            nx, ng, nb = needs
+            return (layernorm_grad_np(y, inv, g * gamma) if nx else None,
+                    _unbroadcast(g * y, gamma.shape) if ng else None,
+                    _unbroadcast(g, gamma.shape) if nb else None)
+
+        return _record(out, (x, self.g, self.b), grad_fn)
 
     def infer(self, x):
         """`layernorm(x) * g + b` into a new array; `x` is left as it is."""
-        y, _ = layernorm_np(x)
-        y *= self.g.data
-        y += self.b.data
-        return y
+        return self._forward(x, keep_norm=False)[0]
+
+    def _forward(self, x, keep_norm):
+        """`layernorm(x) * g + b`, and the normalized `x` and its 1/std.
+        Without `keep_norm` the affine overwrites the normalized array."""
+        y, inv = layernorm_np(x)
+        out = np.multiply(y, self.g.data, out=None if keep_norm else y)
+        out += self.b.data
+        return out, y, inv
 
     def params(self, prefix):
         return {prefix + ".g": self.g, prefix + ".b": self.b}
@@ -143,18 +195,48 @@ class CausalSelfAttention:
         self.p_drop = p_drop
 
     def __call__(self, x, causal_bias, pad_bias, rng, training):
-        d = self.width
-        qkv = self.qkv(x)
-        q, k, v = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-        scores = scores + causal_bias
-        if pad_bias is not None:
-            scores = scores + pad_bias
-        att = softmax(scores, axis=-1)
-        att = dropout(att, self.p_drop, rng, training)
-        return self.proj(att @ v)
+        """One node over the input and the four weights; backward reads the
+        input, q, kᵀ, v, the attention pattern, its dropout mask and the
+        attended values."""
+        x = Tensor.as_tensor(x)
+        d, saved = self.width, {}
+        out = self._forward(x.data, causal_bias, pad_bias,
+                            rng if training and self.p_drop > 0.0 else None, saved)
+        xd, w_qkv, w_proj = x.data, self.qkv.w.data, self.proj.w.data
+        q, k_t, scale, v, att, mask, y = (saved[k] for k in
+                                          ("q", "k_t", "scale", "v", "att", "mask", "y"))
+
+        def grad_fn(g, needs):
+            inner = any(needs[:3])
+            gy, gw_proj, gb_proj = _linear_grads(y, w_proj, g, (inner,) + needs[3:])
+            if not inner:
+                return None, None, None, gw_proj, gb_proj
+            att_d = att if mask is None else att * mask
+            g_att = np.matmul(gy, np.swapaxes(v, -1, -2))
+            g_v = np.matmul(np.swapaxes(att_d, -1, -2), gy)
+            del att_d
+            if mask is not None:
+                g_att = g_att * mask
+            g_s = softmax_grad_np(att, g_att) * scale
+            # zeros plus one `+=` per slice, as the three slices' gradients
+            # summed: a -0 comes out as +0
+            g_qkv = np.zeros(q.shape[:-1] + (3 * d,), dtype=q.dtype)
+            g_qkv[..., :d] += np.matmul(g_s, np.swapaxes(k_t, -1, -2))
+            g_qkv[..., d:2 * d] += np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_s), -1, -2)
+            g_qkv[..., 2 * d:] += g_v
+            return _linear_grads(xd, w_qkv, g_qkv, needs[:3]) + (gw_proj, gb_proj)
+
+        return _record(out, (x, self.qkv.w, self.qkv.b, self.proj.w, self.proj.b), grad_fn)
 
     def infer(self, x, causal_bias, pad_bias):
+        return self._forward(x, causal_bias, pad_bias)
+
+    def _forward(self, x, causal_bias, pad_bias, rng=None, saved=None):
+        """The attention forward on arrays. With `rng` it drops out of the
+        attention pattern; a `saved` dict receives what the taped backward
+        reads. Every other temporary is freed once used. q, kᵀ and v are
+        contiguous copies, the scale is a 0-d array of the scores' dtype and
+        the biases are cast to it, as the composed tape ops had them."""
         d = self.width
         qkv = self.qkv.infer(x)
         q = qkv[..., :d].copy()
@@ -162,12 +244,19 @@ class CausalSelfAttention:
         v = qkv[..., 2 * d:].copy()
         del qkv
         att = np.matmul(q, k_t)
+        scale = np.asarray(1.0 / np.sqrt(d), dtype=att.dtype)
+        if saved is not None:
+            saved.update(q=q, k_t=k_t, scale=scale)
         del q, k_t
-        att *= np.float32(1.0 / np.sqrt(d))
-        att += causal_bias
+        att *= scale
+        att += causal_bias.astype(att.dtype, copy=False)
         if pad_bias is not None:
-            att += pad_bias
-        y = np.matmul(softmax_np(att, out=att), v)
+            att += pad_bias.astype(att.dtype, copy=False)
+        softmax_np(att, out=att)
+        mask = None if rng is None else dropout_mask(att.shape, self.p_drop, rng)
+        y = np.matmul(att if mask is None else att * mask, v)
+        if saved is not None:
+            saved.update(v=v, att=att, mask=mask, y=y)
         del att, v
         return self.proj.infer(y)
 
@@ -188,16 +277,38 @@ class TransformerBlock:
 
     def __call__(self, x, causal_bias, pad_bias, rng, training):
         x = x + self.attn(self.ln1(x), causal_bias, pad_bias, rng, training)
-        h = relu(self.fc(self.ln2(x)))
-        h = dropout(self.fc_out(h), self.p_drop, rng, training)
-        return x + h
+        return x + self._mlp(self.ln2(x), rng if training and self.p_drop > 0.0 else None)
+
+    def _mlp(self, u, rng):
+        """fc → ReLU → fc_out → dropout as one node; backward reads the
+        input, the ReLU output (its own mask) and the dropout mask."""
+        ud, w_fc, w_out = u.data, self.fc.w.data, self.fc_out.w.data
+        out, h, mask = self._mlp_forward(ud, rng)
+
+        def grad_fn(g, needs):
+            if mask is not None:
+                g = g * mask
+            inner = any(needs[:3])
+            gh, gw_out, gb_out = _linear_grads(h, w_out, g, (inner,) + needs[3:])
+            if not inner:
+                return None, None, None, gw_out, gb_out
+            return _linear_grads(ud, w_fc, gh * (h > 0), needs[:3]) + (gw_out, gb_out)
+
+        return _record(out, (u, self.fc.w, self.fc.b, self.fc_out.w, self.fc_out.b), grad_fn)
+
+    def _mlp_forward(self, u, rng=None):
+        """The MLP on arrays: its output, the ReLU output and the dropout
+        mask drawn from `rng` (None without one)."""
+        h = self.fc.infer(u)
+        relu_np(h, out=h)
+        out = self.fc_out.infer(h)
+        mask = None if rng is None else dropout_mask(out.shape, self.p_drop, rng)
+        return (out if mask is None else out * mask), h, mask
 
     def infer(self, x, causal_bias, pad_bias):
         """Updates `x` in place."""
         x += self.attn.infer(self.ln1.infer(x), causal_bias, pad_bias)
-        h = self.fc.infer(self.ln2.infer(x))
-        relu_np(h, out=h)
-        x += self.fc_out.infer(h)
+        x += self._mlp_forward(self.ln2.infer(x))[0]
         return x
 
     def params(self, prefix):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keep_all_on_tape, traced_peak
+from conftest import keep_all_on_tape, reachable, traced_peak
 from tractfuse import agents, eds, fusion, nn
 from tractfuse.autodiff import Tensor
 from tractfuse.eds import TrajectoryRecord, compute_rtg
@@ -501,6 +501,22 @@ def test_training_holds_one_tape(stage, tiny_policies):
     _, one = traced_peak(lambda: train(1))
     _, four = traced_peak(lambda: train(4))
     assert four < 1.1 * one, (one, four)
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_training_tape_has_six_nodes_per_block(n_blocks):
+    """A training forward and its loss record 6 op nodes per block (two
+    layernorms, attention, the MLP and two residual adds) on top of 44 for
+    the embeddings, head and loss, so a layer split back into small ops
+    shows here."""
+    m = FusionModel(FusionConfig(context=6, width=16, n_blocks=n_blocks, dropout=0.1), seed=0)
+    rtg, s, a = window(b=3, t=6)
+    valid = np.ones((3, 6), dtype=np.float32)
+    valid[0, :2] = 0.0
+    pred = m.predict_actions(rtg, s, a, pad_mask=valid, training=True,
+                             rng=np.random.default_rng(0))
+    loss = loss_dist_cos(pred, a, valid)
+    assert sum(t._grad_fn is not None for t in reachable(loss)) == 44 + 6 * n_blocks
 
 
 # -- tracking -----------------------------------------------------------------

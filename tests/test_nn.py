@@ -1,6 +1,8 @@
 """Network-module gradient checks (64-bit graphs vs finite differences),
+each one-node layer pinned byte for byte to the ops it was composed of,
 AdamW against a step-by-step numpy oracle, and checkpoint round-trips."""
 
+import functools
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_diff_grad, rel_err
+from conftest import finite_diff_grad, reachable, rel_err
+from tractfuse import autodiff as ad
 from tractfuse import nn
 from tractfuse.autodiff import Tensor, no_grad
 
@@ -187,6 +190,159 @@ def test_mlp_infer_matches_forward_and_keeps_nan():
     x[2, 4] = np.nan
     for out in (mlp.infer(x), mlp(x).data):
         assert np.isnan(out[2]).all() and np.isfinite(np.delete(out, 2, axis=0)).all()
+
+
+# -- one tape node per layer --------------------------------------------------
+# Each layer used to be a composition of `autodiff` ops. The copies below are
+# that composition; every fused node must give its bytes: output, input
+# gradient and every parameter gradient, frozen parameters and untracked
+# inputs included.
+
+def composed_linear(lin, x):
+    return x @ lin.w + lin.b
+
+
+def composed_layernorm(ln, x):
+    return ad.layernorm(x) * ln.g + ln.b
+
+
+def composed_attention(attn, x, causal_bias, pad_bias, rng, training):
+    d = attn.width
+    qkv = composed_linear(attn.qkv, x)
+    q, k, v = qkv[..., :d], qkv[..., d:2 * d], qkv[..., 2 * d:]
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
+    scores = scores + causal_bias
+    if pad_bias is not None:
+        scores = scores + pad_bias
+    att = ad.softmax(scores, axis=-1)
+    att = ad.dropout(att, attn.p_drop, rng, training)
+    return composed_linear(attn.proj, att @ v)
+
+
+def composed_mlp(block, u, rng, training):
+    h = ad.relu(composed_linear(block.fc, u))
+    return ad.dropout(composed_linear(block.fc_out, h), block.p_drop, rng, training)
+
+
+def composed_block(block, x, causal_bias, pad_bias, rng, training):
+    x = x + composed_attention(block.attn, composed_layernorm(block.ln1, x),
+                               causal_bias, pad_bias, rng, training)
+    return x + composed_mlp(block, composed_layernorm(block.ln2, x), rng, training)
+
+
+def fused_mlp(block, u, rng, training):
+    return block._mlp(u, rng if training and block.p_drop > 0.0 else None)
+
+
+def attention_biases(rng, lead, t, dtype):
+    causal = np.where(np.tri(t, dtype=bool), 0.0, -1e9).astype(dtype)
+    pad = np.where(rng.random(lead + (t, t)) < 0.3, -1e9, 0.0).astype(dtype)
+    pad[..., np.arange(t), np.arange(t)] = 0.0
+    return causal, pad
+
+
+LAYERS = ["linear", "layernorm", "attention", "attention-nopad", "mlp", "block"]
+
+
+def run_layer(forward, x, params, tracked, frozen_names, upstream, seed, training):
+    """One forward and backward; returns the bytes of every result and the
+    rng's state, so that the draws are compared too."""
+    for p in params.values():
+        p.grad = None
+    xt = Tensor(x.copy(), requires_grad=tracked)
+    rng = np.random.default_rng(seed)
+    with ad.frozen([params[k] for k in frozen_names]):
+        out = forward(xt, rng, training)
+    got = {"out": (out.data.dtype, out.data.tobytes())}
+    if out._grad_fn is not None:
+        out.backward(upstream.astype(out.dtype))
+    got["x"] = None if xt.grad is None else (xt.grad.dtype, xt.grad.tobytes())
+    for k, p in params.items():
+        got[k] = None if p.grad is None else (p.grad.dtype, p.grad.tobytes())
+    got["rng"] = rng.bit_generator.state
+    return got
+
+
+def layer_cases(kind, width, p_drop, rng, lead, t, bias_dtype):
+    """The layer, its parameters, and (fused, composed) forwards of a tensor."""
+    if kind == "linear":
+        lin = nn.Linear(width, 5, rng, init="gpt")
+        return lin.params("l"), lambda x, r, tr: lin(x), lambda x, r, tr: composed_linear(lin, x)
+    if kind == "layernorm":
+        ln = nn.LayerNorm(width)
+        return (ln.params("n"), lambda x, r, tr: ln(x),
+                lambda x, r, tr: composed_layernorm(ln, x))
+    block = nn.TransformerBlock(width, rng, p_drop)
+    if kind == "mlp":
+        return (block.params("b"), functools.partial(fused_mlp, block),
+                functools.partial(composed_mlp, block))
+    causal, pad = attention_biases(rng, lead, t, bias_dtype)
+    if kind == "attention-nopad":
+        pad = None
+    if kind == "block":
+        return (block.params("b"), lambda x, r, tr: block(x, causal, pad, r, tr),
+                lambda x, r, tr: composed_block(block, x, causal, pad, r, tr))
+    attn = block.attn
+    return (attn.params("a"), lambda x, r, tr: attn(x, causal, pad, r, tr),
+            lambda x, r, tr: composed_attention(attn, x, causal, pad, r, tr))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(LAYERS), width=st.sampled_from([2, 4, 8, 16]),
+       lead=st.sampled_from([(), (1,), (3,)]), t=st.integers(1, 6),
+       x_dtype=st.sampled_from([np.float32, np.float64]),
+       param_dtype=st.sampled_from([np.float32, np.float64]),
+       bias_dtype=st.sampled_from([np.float32, np.float64]),
+       training=st.booleans(), p_drop=st.sampled_from([0.0, 0.1, 0.5]),
+       tracked=st.booleans(), upstream_kind=st.sampled_from(["normal", "zeros", "sparse"]),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_fused_layer_bytes_equal_composition(kind, width, lead, t, x_dtype, param_dtype,
+                                             bias_dtype, training, p_drop, tracked,
+                                             upstream_kind, seed, data):
+    """Each one-node layer gives the composed ops' bytes: output, input
+    gradient, every parameter gradient and the dropout draws, in float32 and
+    float64, on 2-D and 3-D inputs, with frozen parameters and an untracked
+    input. `upstream` may hold zeros of either sign, so a -0 would show."""
+    rng = np.random.default_rng(seed)
+    params, fused, composed = layer_cases(kind, width, p_drop, rng, lead, t, bias_dtype)
+    spread(params, seed)
+    for p in params.values():
+        p.data = p.data.astype(param_dtype)
+    frozen_names = data.draw(st.lists(st.sampled_from(sorted(params)), unique=True,
+                                      max_size=len(params)))
+    x = rng.normal(size=lead + (t, width)).astype(x_dtype)
+    if kind in ("linear", "layernorm", "mlp") and rng.random() < 0.3:
+        x[..., 0] = -np.abs(x[..., 0])  # rows where the ReLU closes
+    n_out = 5 if kind == "linear" else width
+    upstream = rng.normal(size=lead + (t, n_out))
+    if upstream_kind == "zeros":
+        upstream = np.where(rng.random(upstream.shape) < 0.5, -0.0, 0.0)
+    elif upstream_kind == "sparse":
+        upstream[rng.random(upstream.shape) < 0.5] = -0.0
+    args = (x, params, tracked, frozen_names, upstream, seed + 1, training)
+    want = run_layer(composed, *args)
+    got = run_layer(fused, *args)
+    assert got.keys() == want.keys()
+    for k in want:
+        assert got[k] == want[k], f"{kind}: {k} differs"
+
+
+def op_nodes(root):
+    return sum(t._grad_fn is not None for t in reachable(root))
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_each_layer_records_one_node(training):
+    rng = np.random.default_rng(4)
+    gpt = nn.GptBlockStack(width=8, n_blocks=1, n_tokens=6, p_drop=0.1, rng=rng)
+    block = gpt.blocks[0]
+    x = Tensor(rng.normal(size=(2, 6, 8)).astype(np.float32), requires_grad=True)
+    causal, pad = gpt._biases(x.data, np.ones((2, 6)))
+    assert op_nodes(block.fc(x)) == 1
+    assert op_nodes(block.ln1(x)) == 1
+    assert op_nodes(block.attn(x, causal, pad, rng, training)) == 1
+    assert op_nodes(fused_mlp(block, x, rng, training)) == 1
+    assert op_nodes(block(x, causal, pad, rng, training)) == 6
 
 
 # -- AdamW --------------------------------------------------------------------
